@@ -26,8 +26,7 @@ void throw_if_interrupted() {
 RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
                   std::uint32_t point_index, std::uint32_t ordinal,
                   std::shared_ptr<const sim::PrebuiltWorkload> pool,
-                  obs::TraceRing* trace, std::uint64_t* events_executed,
-                  obs::SweepTelemetry* telemetry) {
+                  obs::TraceRing* trace, std::uint64_t* events_executed) {
   // Cache consult lives here, in the single funnel every executor (threads,
   // worker processes, TCP fleet) goes through, so --jobs/--procs/--hosts all
   // cache identically. A scenario without a serializable source or a config
@@ -55,10 +54,6 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
   cfg.seed = job_seed(scenario.seed_base, point_index, ordinal);
   cfg.shared_workload = std::move(pool);
   cfg.trace = trace;
-  cfg.parallel_telemetry = telemetry;
-  // RunHook scenarios drive the run themselves (step the queue, mutate
-  // scheduler state mid-flight); those assumptions are serial-only.
-  if (scenario.run) cfg.shards = 1;
 
   sim::Experiment exp(std::move(cfg));
   NamedValues hook_values;
@@ -144,12 +139,12 @@ class ThreadPoolExecutor final : public Executor {
       if (plan.trace_mask != 0) {
         obs::TraceRing ring(plan.trace_mask);
         sink(run_job(plan.scenario, plan.points[p], static_cast<std::uint32_t>(p),
-                     ordinal, std::move(pool), &ring, &events, plan.telemetry));
+                     ordinal, std::move(pool), &ring, &events));
         if (plan.trace_sink)
           plan.trace_sink(static_cast<std::uint32_t>(p), ordinal, ring);
       } else {
         sink(run_job(plan.scenario, plan.points[p], static_cast<std::uint32_t>(p),
-                     ordinal, std::move(pool), nullptr, &events, plan.telemetry));
+                     ordinal, std::move(pool), nullptr, &events));
       }
       if (plan.telemetry != nullptr) plan.telemetry->add_events(events);
       if (st != nullptr && st->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)

@@ -122,15 +122,11 @@ std::unique_ptr<Executor> make_process_pool_executor(ProcessPoolOptions options)
 /// worker process funnel through this. `trace` (optional) receives the
 /// experiment's decision trace; recording is observational, so the record —
 /// digest included — is bit-identical with and without it.
-/// `telemetry` (optional) receives the parallel engine's live efficiency
-/// figures when the config runs sharded; like tracing it never touches the
-/// record.
 RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
                   std::uint32_t point_index, std::uint32_t ordinal,
                   std::shared_ptr<const sim::PrebuiltWorkload> pool,
                   obs::TraceRing* trace = nullptr,
-                  std::uint64_t* events_executed = nullptr,
-                  obs::SweepTelemetry* telemetry = nullptr);
+                  std::uint64_t* events_executed = nullptr);
 
 /// Entry point of the `ngsim --worker` mode: speak the worker protocol over
 /// the given fds (stdin/stdout when exec'd) until EOF. Returns the process

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -44,11 +45,24 @@ double parse_double(std::string_view key, std::string_view value) {
     std::string s(value);
     double d = std::stod(s, &used);
     if (used != s.size()) throw std::invalid_argument("trailing characters");
+    // std::stod accepts "nan" and "inf"; no key has a meaning for them, and
+    // a non-finite interval would make a run spin forever.
+    if (!std::isfinite(d)) throw std::invalid_argument("not finite");
     return d;
   } catch (const std::exception&) {
     throw std::invalid_argument("bad numeric value '" + std::string(value) + "' for key '" +
                                 std::string(key) + "'");
   }
+}
+
+/// parse_double restricted to [0, 1], or to [0, 1) when `one_allowed` is false.
+double parse_unit_interval(std::string_view key, std::string_view value, bool one_allowed) {
+  const double d = parse_double(key, value);
+  if (d < 0 || d > 1 || (!one_allowed && d == 1))
+    throw std::invalid_argument("value '" + std::string(value) + "' for key '" +
+                                std::string(key) + "' is outside " +
+                                (one_allowed ? "[0, 1]" : "[0, 1)"));
+  return d;
 }
 
 std::uint64_t parse_u64(std::string_view key, std::string_view value) {
@@ -205,17 +219,11 @@ void apply_config_override(sim::ExperimentConfig& cfg, std::string_view key,
   } else if (key == "adversary_node") {
     cfg.adversary.node = static_cast<NodeId>(parse_u64(key, value));
   } else if (key == "adversary_share") {
-    cfg.adversary.power_share = parse_double(key, value);
+    cfg.adversary.power_share = parse_unit_interval(key, value, /*one_allowed=*/false);
   } else if (key == "adversary_gamma") {
-    cfg.adversary.gamma = parse_double(key, value);
+    cfg.adversary.gamma = parse_unit_interval(key, value, /*one_allowed=*/true);
   } else if (key == "equivocate_every") {
     cfg.adversary.equivocate_every = static_cast<std::uint32_t>(parse_u64(key, value));
-  } else if (key == "shards") {
-    // Wall-clock knob only: records and digests are bit-identical for every
-    // value (sim/parallel_engine.hpp), so sweeping it is harmless but
-    // pointless — it belongs in the base config or on the CLI.
-    cfg.shards = static_cast<std::uint32_t>(parse_u64(key, value));
-    if (cfg.shards == 0) throw std::invalid_argument("shards must be >= 1");
   } else {
     std::string known;
     for (const std::string& k : config_override_keys()) {
@@ -238,8 +246,7 @@ std::vector<std::string> config_override_keys() {
           "max_microblock_size",     "leader_fee_fraction",
           "tie_break",       "adversary",
           "adversary_node",  "adversary_share",
-          "adversary_gamma", "equivocate_every",
-          "shards"};
+          "adversary_gamma", "equivocate_every"};
 }
 
 Scenario load_scenario_file(const std::string& path, const RunKnobs& knobs) {
@@ -314,6 +321,9 @@ Scenario load_scenario_string(const std::string& text, const std::string& origin
         while (std::getline(ss, item, ',')) {
           std::string v(trim(item));
           if (v.empty()) continue;
+          // Reject a bad value here, with its line, not later at expand().
+          sim::ExperimentConfig probe;
+          apply_config_override(probe, axis_key, v);
           double x = 0;
           try {
             x = std::stod(v);

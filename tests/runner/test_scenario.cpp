@@ -3,6 +3,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "runner/scenario.hpp"
 
@@ -141,6 +144,28 @@ TEST(Overrides, RejectsUnknownKeyAndBadValue) {
   EXPECT_THROW(apply_config_override(cfg, "block_interval", "1.5x"),
                std::invalid_argument);
   EXPECT_THROW(apply_config_override(cfg, "protocol", "dogecoin"), std::invalid_argument);
+  // Each rejection names the offending key.
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      {"shards", "2"},  // retired: a run is one serial event loop
+      {"block_interval", "nan"},      {"block_interval", "inf"},
+      {"microblock_interval", "-inf"}, {"drain_time", "NAN"},
+      {"adversary_share", "1.5"},     {"adversary_share", "1"},
+      {"adversary_share", "-0.1"},    {"adversary_gamma", "1.01"},
+      {"adversary_gamma", "-0.5"},    {"adversary_gamma", "nan"},
+  };
+  for (const auto& [key, value] : rejected) {
+    try {
+      apply_config_override(cfg, key, value);
+      ADD_FAILURE() << key << " = " << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+          << key << " = " << value << ": " << e.what();
+    }
+  }
+  // The closed ends of the ranges stay accepted.
+  apply_config_override(cfg, "adversary_share", "0");
+  apply_config_override(cfg, "adversary_gamma", "1");
+  EXPECT_DOUBLE_EQ(cfg.adversary.gamma, 1.0);
 }
 
 class ScenarioFileTest : public ::testing::Test {
@@ -204,13 +229,35 @@ TEST_F(ScenarioFileTest, TwoAxesExpandToGrid) {
 }
 
 TEST_F(ScenarioFileTest, RejectsUnknownKeyWithLineNumber) {
-  const auto path = write_file("base.bogus = 1\n");
-  try {
-    load_scenario_file(path, kSmall);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(":1:"), std::string::npos) << e.what();
-    EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos) << e.what();
+  // shards is retired: a run is one serial event loop.
+  for (const std::string key : {"bogus", "shards"}) {
+    const auto path = write_file("base." + key + " = 2\n");
+    try {
+      load_scenario_file(path, kSmall);
+      ADD_FAILURE() << "expected std::runtime_error for " << key;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(":1:"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("unknown config key '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST_F(ScenarioFileTest, RejectsBadAxisValueAtParseTimeWithLineNumber) {
+  const std::vector<std::pair<std::string, std::string>> files = {
+      {"base.adversary = selfish\naxis.adversary_share = 0.2, 1.5\n", "adversary_share"},
+      {"base.protocol = ng\naxis.block_interval = 10, inf\n", "block_interval"},
+  };
+  for (const auto& [text, key] : files) {
+    const auto path = write_file(text);
+    try {
+      load_scenario_file(path, kSmall);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos) << e.what();
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace bng::sim {
 namespace {
@@ -94,6 +95,18 @@ TEST(Experiment, CustomPowersSizeMismatchThrows) {
   cfg.custom_powers = std::vector<double>{0.5, 0.5};
   Experiment exp(cfg);
   EXPECT_THROW(exp.build(), std::invalid_argument);
+}
+
+TEST(Experiment, RetiredShardsKnobIsRejectedByName) {
+  auto cfg = small_btc();
+  cfg.shards = 2;
+  Experiment exp(cfg);
+  try {
+    exp.build();
+    FAIL() << "shards = 2 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("shards"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Experiment, WorkloadTransactionsIdenticallySized) {

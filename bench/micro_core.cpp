@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the primitives underpinning the
 // simulation: hashing, Merkle trees, ECDSA, the event queue, the network
-// fast path, fork choice, and mempool assembly. These bound how far the
-// experiment harness scales.
+// fast path, fork choice, mempool assembly, and the consensus-delay metric.
+// These bound how far the experiment harness scales.
 //
 // Machine-readable output: pass --benchmark_format=json (or use
 // bench_sim_core, which writes BENCH_core.json with the headline metrics).
@@ -15,12 +15,14 @@
 #include "crypto/ecdsa.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
+#include "metrics/metrics.hpp"
 #include "net/event_queue.hpp"
 #include "net/fault_plan.hpp"
 #include "net/latency_model.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "obs/trace_ring.hpp"
+#include "sim/experiment.hpp"
 
 namespace {
 
@@ -372,6 +374,28 @@ void BM_TraceRingRecord(benchmark::State& state) {
   state.counters["dropped"] = static_cast<double>(ring.dropped());
 }
 BENCHMARK(BM_TraceRingRecord)->Arg(0)->Arg(1);
+
+void BM_ConsensusDelay(benchmark::State& state) {
+  // The (0.9, 0.9) consensus delay of one finished fig7-style run (stressed
+  // block interval, so nodes disagree often). The run is simulated once,
+  // outside the timed loop; only the metric is timed.
+  static const auto exp = [] {
+    sim::ExperimentConfig cfg;
+    cfg.params = chain::Params::bitcoin();
+    cfg.params.block_interval = 10.0;
+    cfg.params.max_block_size = 60'000;
+    cfg.num_nodes = 200;
+    cfg.target_blocks = 30;
+    cfg.seed = 701;
+    auto e = std::make_unique<sim::Experiment>(cfg);
+    e->run();
+    return e;
+  }();
+  for (auto _ : state) benchmark::DoNotOptimize(metrics::consensus_delay(*exp, 0.9, 0.9));
+  state.counters["nodes"] = static_cast<double>(exp->nodes().size());
+  state.counters["blocks"] = static_cast<double>(exp->trace().generated().size());
+}
+BENCHMARK(BM_ConsensusDelay);
 
 }  // namespace
 

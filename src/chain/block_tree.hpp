@@ -127,8 +127,9 @@ class BlockTree {
 
   [[nodiscard]] std::uint32_t common_ancestor(std::uint32_t a, std::uint32_t b) const;
 
-  /// Last block on the path to `tip` whose block timestamp is <= `time`
-  /// (used by the consensus-delay metric). Accelerated by jump pointers;
+  /// Last block on the path to `tip` whose block timestamp is <= `time` —
+  /// the deepest one when timestamps tie (used by the consensus-delay
+  /// metric, which relies on that). Accelerated by jump pointers;
   /// chain timestamps are non-decreasing root-to-tip (a child is built after
   /// its parent exists), which makes the skip sound.
   [[nodiscard]] std::uint32_t ancestor_at_or_before(std::uint32_t tip, Seconds time) const;

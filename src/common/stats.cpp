@@ -10,13 +10,18 @@ namespace bng {
 double percentile(std::vector<double> samples, double p) {
   if (samples.empty()) return 0.0;
   assert(p >= 0.0 && p <= 100.0);
-  std::sort(samples.begin(), samples.end());
   if (samples.size() == 1) return samples[0];
   double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
   auto lo = static_cast<std::size_t>(rank);
   std::size_t hi = std::min(lo + 1, samples.size() - 1);
   double frac = rank - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+  // Only the two order statistics around the rank are needed: select the
+  // lower one, then the upper is the least element above it. Linear time,
+  // and the same two values a full sort would put there.
+  const auto lo_it = samples.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples.begin(), lo_it, samples.end());
+  const double v_hi = hi == lo ? *lo_it : *std::min_element(lo_it + 1, samples.end());
+  return *lo_it * (1.0 - frac) + v_hi * frac;
 }
 
 double mean(std::span<const double> samples) {

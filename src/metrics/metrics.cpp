@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <type_traits>
-#include <unordered_map>
 
 #include "common/stats.hpp"
 #include "obs/registry.hpp"
@@ -30,6 +29,27 @@ std::uint32_t largest_miner(const Experiment& exp) {
   return static_cast<std::uint32_t>(
       std::max_element(powers.begin(), powers.end()) - powers.begin());
 }
+
+/// Small-integer keys with O(1) insert and erase and dense iteration.
+class DenseSet {
+ public:
+  explicit DenseSet(std::size_t universe) : slot_(universe, 0) {}
+  void insert(std::uint32_t key) {
+    slot_[key] = static_cast<std::uint32_t>(items_.size());
+    items_.push_back(key);
+  }
+  void erase(std::uint32_t key) {
+    const std::uint32_t s = slot_[key];
+    items_[s] = items_.back();
+    slot_[items_[s]] = s;
+    items_.pop_back();
+  }
+  [[nodiscard]] const std::vector<std::uint32_t>& items() const { return items_; }
+
+ private:
+  std::vector<std::uint32_t> items_;
+  std::vector<std::uint32_t> slot_;  ///< key -> position in items_ (if present)
+};
 
 /// Weight-bearing (non-micro) block counts, generated and on the eventual
 /// main chain, split by one designated node. Shared by fairness() and
@@ -64,45 +84,27 @@ std::vector<std::uint32_t> final_main_chain(const Experiment& exp) {
   return g.path_from_genesis(g.best_tip());
 }
 
-double consensus_delay(const Experiment& exp, double epsilon, double delta) {
-  const BlockTree& g = exp.global_tree();
-  const auto& nodes = exp.nodes();
-  const std::size_t n_nodes = nodes.size();
+double consensus_delay(const BlockTree& g, std::span<const BlockTree* const> trees,
+                       std::span<const sim::TraceRecorder::Generated> generated,
+                       double epsilon, double delta) {
+  const std::size_t n_nodes = trees.size();
   const auto quorum = static_cast<std::size_t>(epsilon * static_cast<double>(n_nodes));
 
-  // Generation times (ascending) with global indices: candidate prefix cuts.
-  struct Gen {
-    Seconds at;
-    std::uint32_t gidx;
-  };
-  std::vector<Gen> gens;
-  gens.reserve(exp.trace().generated().size());
-  for (const auto& rec : exp.trace().generated()) {
-    if (const std::uint32_t gi = g.index_of_id(rec.id); gi != BlockTree::kNoIndex)
-      gens.push_back({rec.at, gi});
-  }
-  std::sort(gens.begin(), gens.end(), [](const Gen& a, const Gen& b) { return a.at < b.at; });
-  if (gens.empty()) return 0.0;
-
-  // Per node: map node-tree entries to global indices once. Node and global
-  // trees share one interner, so this is a flat id-indexed pass, no hashing.
-  std::vector<std::vector<std::uint32_t>> global_of(n_nodes);
-  for (std::size_t n = 0; n < n_nodes; ++n) {
-    const BlockTree& t = nodes[n]->tree();
-    global_of[n].resize(t.size());
-    for (std::uint32_t i = 0; i < t.size(); ++i) {
-      const std::uint32_t gi = g.index_of_id(t.entry(i).id);
-      global_of[n][i] = gi != BlockTree::kNoIndex ? gi : 0;  // unknowns -> root
-    }
-  }
+  // Candidate prefix cuts: generation times (ascending) of recorded blocks.
+  std::vector<Seconds> cuts;
+  cuts.reserve(generated.size());
+  for (const auto& rec : generated)
+    if (g.contains_id(rec.id)) cuts.push_back(rec.at);
+  std::sort(cuts.begin(), cuts.end());
+  if (cuts.empty()) return 0.0;
 
   // Sample the point consensus delay on a uniform grid across the run
   // (prefix cuts happen at block generation times, per Fig. 4; the reported
   // delay is measured back to the newest commonly-agreed block's generation).
   // The first 10% of the run is skipped as genesis warm-up.
   constexpr std::size_t kSamples = 240;
-  const Seconds t_begin = gens.front().at + 0.1 * (gens.back().at - gens.front().at);
-  const Seconds t_end = gens.back().at;
+  const Seconds t_begin = cuts.front() + 0.1 * (cuts.back() - cuts.front());
+  const Seconds t_end = cuts.back();
   std::vector<Seconds> sample_times;
   if (t_end <= t_begin) {
     sample_times.push_back(t_end);
@@ -112,50 +114,82 @@ double consensus_delay(const Experiment& exp, double epsilon, double delta) {
                                            static_cast<double>(kSamples));
   }
 
+  // Every node's tip changes merged into one time-ordered sweep. The stable
+  // sort keeps each node's own changes in history order, so once every
+  // change with at <= t is applied, each node holds its last tip at or
+  // before t.
+  struct Change {
+    Seconds at;
+    std::uint32_t node;
+    std::uint32_t tip;  ///< node-tree index
+  };
+  std::vector<Change> changes;
+  for (std::uint32_t n = 0; n < n_nodes; ++n)
+    for (const auto& c : trees[n]->tip_history())
+      if (c.at <= sample_times.back()) changes.push_back({c.at, n, c.tip});
+  std::stable_sort(changes.begin(), changes.end(),
+                   [](const Change& a, const Change& b) { return a.at < b.at; });
+
+  // A node's chain is the global tree's path from its tip (a block's
+  // ancestry is fixed by its prev links), so nodes are grouped by global
+  // tip with a count each. A node whose tip the global tree lacks keeps
+  // its own tree and votes alone.
+  std::vector<std::uint32_t> tip_of(n_nodes, 0);
+  std::vector<std::uint32_t> gtip_of(n_nodes, BlockTree::kNoIndex);
+  std::vector<std::uint32_t> tip_count(g.size(), 0);
+  DenseSet tips(g.size());
+  DenseSet fallback(n_nodes);
+  const auto join = [&](std::uint32_t n, std::uint32_t tip) {
+    tip_of[n] = tip;
+    gtip_of[n] = g.index_of_id(trees[n]->entry(tip).id);
+    if (gtip_of[n] == BlockTree::kNoIndex)
+      fallback.insert(n);
+    else if (tip_count[gtip_of[n]]++ == 0)
+      tips.insert(gtip_of[n]);
+  };
+  const auto leave = [&](std::uint32_t n) {
+    if (gtip_of[n] == BlockTree::kNoIndex)
+      fallback.erase(n);
+    else if (--tip_count[gtip_of[n]] == 0)
+      tips.erase(gtip_of[n]);
+  };
+  for (std::uint32_t n = 0; n < n_nodes; ++n) join(n, 0);
+
+  // Votes per cut block, flat over global indices; a stale epoch stamp
+  // reads as zero, so no per-cut clearing pass.
+  std::vector<std::size_t> votes(g.size(), 0);
+  std::vector<std::uint32_t> stamp(g.size(), 0);
+  std::uint32_t epoch = 0;
+  const auto vote = [&](std::uint32_t cut, std::size_t weight) {
+    if (stamp[cut] != epoch) {
+      stamp[cut] = epoch;
+      votes[cut] = 0;
+    }
+    return votes[cut] += weight;
+  };
+
   std::vector<double> point_delays;
   point_delays.reserve(sample_times.size());
-  std::vector<std::vector<std::pair<Seconds, std::uint32_t>>> chains(n_nodes);
-  std::unordered_map<std::uint32_t, std::size_t> votes;
-
+  std::size_t next_change = 0;
   for (const Seconds t : sample_times) {
-    // Each node's chain at time t: (timestamp, global idx) ascending.
-    for (std::size_t n = 0; n < n_nodes; ++n) {
-      const BlockTree& tree = nodes[n]->tree();
-      const auto& hist = tree.tip_history();
-      // Last tip change at or before t.
-      auto it = std::upper_bound(
-          hist.begin(), hist.end(), t,
-          [](Seconds value, const BlockTree::TipChange& c) { return value < c.at; });
-      const std::uint32_t tip = (it == hist.begin()) ? 0 : std::prev(it)->tip;
-      auto& chain = chains[n];
-      chain.clear();
-      for (std::int32_t cur = static_cast<std::int32_t>(tip); cur != -1;
-           cur = tree.entry(static_cast<std::uint32_t>(cur)).parent) {
-        const auto& e = tree.entry(static_cast<std::uint32_t>(cur));
-        chain.emplace_back(e.block->header().timestamp,
-                           global_of[n][static_cast<std::uint32_t>(cur)]);
-      }
-      std::reverse(chain.begin(), chain.end());
+    for (; next_change < changes.size() && changes[next_change].at <= t; ++next_change) {
+      leave(changes[next_change].node);
+      join(changes[next_change].node, changes[next_change].tip);
     }
 
     // Scan candidate cut times from most recent backwards.
     double delay = t;  // worst case: only the genesis prefix is agreed
-    for (auto g_it = std::upper_bound(
-             gens.begin(), gens.end(), t,
-             [](Seconds value, const Gen& rec) { return value < rec.at; });
-         g_it != gens.begin();) {
-      --g_it;
-      const Seconds tau = g_it->at;
-      votes.clear();
+    for (auto c_it = std::upper_bound(cuts.begin(), cuts.end(), t); c_it != cuts.begin();) {
+      const Seconds tau = *--c_it;
+      ++epoch;
       std::size_t best = 0;
-      for (std::size_t n = 0; n < n_nodes; ++n) {
-        const auto& chain = chains[n];
-        // Last chain block with timestamp <= tau.
-        auto c_it = std::upper_bound(
-            chain.begin(), chain.end(), tau,
-            [](Seconds value, const auto& pr) { return value < pr.first; });
-        const std::uint32_t cut = (c_it == chain.begin()) ? 0 : std::prev(c_it)->second;
-        best = std::max(best, ++votes[cut]);
+      for (const std::uint32_t tip : tips.items())
+        best = std::max(best, vote(g.ancestor_at_or_before(tip, tau), tip_count[tip]));
+      for (const std::uint32_t n : fallback.items()) {
+        const BlockTree& tree = *trees[n];
+        const std::uint32_t cut =
+            g.index_of_id(tree.entry(tree.ancestor_at_or_before(tip_of[n], tau)).id);
+        best = std::max(best, vote(cut != BlockTree::kNoIndex ? cut : 0, 1));  // unknowns -> root
       }
       if (best >= quorum) {
         delay = t - tau;
@@ -165,6 +199,13 @@ double consensus_delay(const Experiment& exp, double epsilon, double delta) {
     point_delays.push_back(delay);
   }
   return percentile(std::move(point_delays), delta * 100.0);
+}
+
+double consensus_delay(const Experiment& exp, double epsilon, double delta) {
+  std::vector<const BlockTree*> trees;
+  trees.reserve(exp.nodes().size());
+  for (const auto& node : exp.nodes()) trees.push_back(&node->tree());
+  return consensus_delay(exp.global_tree(), trees, exp.trace().generated(), epsilon, delta);
 }
 
 double fairness(const Experiment& exp) {

@@ -5,11 +5,13 @@
 // common_ancestor / ancestor_at_or_before O(log height); these tests pin
 // their answers to the O(height) walks they replaced, over tree shapes the
 // unit tests in test_block_tree.cpp are too small to exercise: long chains,
-// bushy forks, and mixtures of both.
+// bushy forks, and mixtures of both, with strictly increasing or tied
+// timestamps.
 #include "chain/block_tree.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 namespace bng::chain {
@@ -57,8 +59,11 @@ std::uint32_t ref_ancestor_at_or_before(const BlockTree& t, std::uint32_t tip,
 /// Grow a tree of `n` blocks. Each block forks off a random existing block,
 /// biased towards recent ones (`recent_bias` high => long chains with thin
 /// forks; 0 => uniformly bushy). Timestamps increase monotonically, as in a
-/// simulation (a block is built after its parent exists).
-BlockTree grow_random_tree(std::uint32_t n, std::uint64_t seed, std::uint32_t recent_bias) {
+/// simulation (a block is built after its parent exists). With `ties`, a
+/// block's timestamp is its parent's plus 0 or 1: non-decreasing along every
+/// chain, with runs of equal timestamps (blocks built in the same instant).
+BlockTree grow_random_tree(std::uint32_t n, std::uint64_t seed, std::uint32_t recent_bias,
+                           bool ties = false) {
   auto genesis = make_genesis(1, kCoin);
   Rng rng(seed);
   BlockTree tree(genesis, TieBreak::kFirstSeen, BlockTree::ForkChoice::kHeaviestChain,
@@ -71,7 +76,11 @@ BlockTree grow_random_tree(std::uint32_t n, std::uint64_t seed, std::uint32_t re
     } else {
       parent = static_cast<std::uint32_t>(rng.next_below(span));
     }
-    auto block = make_block(tree.entry(parent).block->id(), static_cast<Seconds>(i), i);
+    const Seconds ts =
+        ties ? tree.entry(parent).block->header().timestamp +
+                   static_cast<Seconds>(rng.next_below(2))
+             : static_cast<Seconds>(i);
+    auto block = make_block(tree.entry(parent).block->id(), ts, i);
     tree.insert(block, static_cast<Seconds>(i), 1.0);
   }
   return tree;
@@ -81,13 +90,14 @@ struct Shape {
   std::uint32_t n;
   std::uint64_t seed;
   std::uint32_t recent_bias;
+  bool ties = false;  ///< non-decreasing timestamps with repeats
 };
 
 class AncestryShapes : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(AncestryShapes, MatchesBruteForceOnRandomPairs) {
   const Shape shape = GetParam();
-  const BlockTree tree = grow_random_tree(shape.n, shape.seed, shape.recent_bias);
+  const BlockTree tree = grow_random_tree(shape.n, shape.seed, shape.recent_bias, shape.ties);
   Rng rng(shape.seed ^ 0x5eedu);
   const auto size = static_cast<std::uint32_t>(tree.size());
   for (int i = 0; i < 2000; ++i) {
@@ -104,7 +114,7 @@ TEST_P(AncestryShapes, MatchesBruteForceOnRandomPairs) {
 
 TEST_P(AncestryShapes, AncestorAtHeightMatchesParentWalk) {
   const Shape shape = GetParam();
-  const BlockTree tree = grow_random_tree(shape.n, shape.seed, shape.recent_bias);
+  const BlockTree tree = grow_random_tree(shape.n, shape.seed, shape.recent_bias, shape.ties);
   Rng rng(shape.seed ^ 0xa17u);
   const auto size = static_cast<std::uint32_t>(tree.size());
   for (int i = 0; i < 500; ++i) {
@@ -120,16 +130,19 @@ TEST_P(AncestryShapes, AncestorAtHeightMatchesParentWalk) {
 
 TEST_P(AncestryShapes, AncestorAtOrBeforeMatchesBruteForce) {
   const Shape shape = GetParam();
-  const BlockTree tree = grow_random_tree(shape.n, shape.seed, shape.recent_bias);
+  const BlockTree tree = grow_random_tree(shape.n, shape.seed, shape.recent_bias, shape.ties);
   Rng rng(shape.seed ^ 0x7173u);
   const auto size = static_cast<std::uint32_t>(tree.size());
   for (int i = 0; i < 500; ++i) {
     const auto tip = static_cast<std::uint32_t>(rng.next_below(size));
     // Probe below, inside, and above the tree's timestamp range, including
-    // exact block timestamps (the <= boundary).
+    // exact block timestamps (the <= boundary). Under ties the answer must be
+    // the deepest block at or before the probe, not the first of its run.
+    const Seconds tip_ts = tree.entry(tip).block->header().timestamp;
     const Seconds probes[] = {-1.0, 0.0,
                               static_cast<Seconds>(rng.next_below(shape.n + 2)),
-                              tree.entry(tip).block->header().timestamp,
+                              tip_ts,
+                              std::floor(tip_ts / 2),
                               static_cast<Seconds>(shape.n) + 5.0};
     for (const Seconds t : probes) {
       ASSERT_EQ(tree.ancestor_at_or_before(tip, t), ref_ancestor_at_or_before(tree, tip, t))
@@ -143,11 +156,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Shape{3000, 11, 8},    // deep chains with thin forks
                       Shape{2000, 23, 0},    // uniformly bushy
                       Shape{4000, 37, 64},   // wide recent window
-                      Shape{500, 41, 1}),    // near-pure chain
+                      Shape{500, 41, 1},     // near-pure chain
+                      Shape{3000, 53, 8, true},   // tied timestamps: deep
+                      Shape{2000, 59, 0, true},   // tied timestamps: bushy
+                      Shape{500, 61, 1, true}),   // tied timestamps: chain
     [](const ::testing::TestParamInfo<Shape>& info) {
       return "n" + std::to_string(info.param.n) + "_seed" +
              std::to_string(info.param.seed) + "_bias" +
-             std::to_string(info.param.recent_bias);
+             std::to_string(info.param.recent_bias) + (info.param.ties ? "_ties" : "");
     });
 
 TEST(AncestryDeepChain, FiftyThousandBlockChain) {

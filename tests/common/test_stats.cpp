@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace bng {
 namespace {
@@ -30,6 +33,27 @@ TEST(Percentile, P90OfMostlyZeros) {
 
 TEST(Percentile, UnsortedInputHandled) {
   EXPECT_EQ(percentile({10, 0, 5}, 50), 5.0);
+}
+
+TEST(Percentile, MatchesFullSortOnRandomInputs) {
+  // Oracle: the sort-then-index implementation the selection replaced.
+  const auto by_sort = [](std::vector<double> v, double p) {
+    std::sort(v.begin(), v.end());
+    const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+  };
+  Rng rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<double> v(1 + rng.next_below(60));
+    const bool ties = trial % 2 == 0;
+    for (double& x : v)
+      x = ties ? static_cast<double>(rng.next_below(5)) : rng.uniform() * 100.0;
+    for (const double p : {0.0, 12.5, 25.0, 50.0, 90.0, 99.0, 100.0})
+      ASSERT_EQ(percentile(v, p), by_sort(v, p)) << "trial=" << trial << " p=" << p;
+  }
 }
 
 TEST(MeanStddev, BasicValues) {

@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the primitives underpinning the
-// simulation: hashing, Merkle trees, ECDSA, the event queue, the network
-// fast path, fork choice, mempool assembly, and the consensus-delay metric.
+// simulation: hashing, Merkle trees, ECDSA and scalar arithmetic mod n, the
+// event queue, the network fast path, fork choice, mempool assembly, and the
+// consensus-delay metric.
 // These bound how far the experiment harness scales.
 //
 // Machine-readable output: pass --benchmark_format=json (or use
@@ -67,6 +68,26 @@ void BM_EcdsaVerify(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(crypto::verify(pk, msg, sig));
 }
 BENCHMARK(BM_EcdsaVerify);
+
+void BM_EcdsaPubkey(benchmark::State& state) {
+  // k*G for an NG leader key, as every NG node derives one at build time.
+  auto sk = crypto::PrivateKey::from_seed(0x6e670000ull);
+  benchmark::DoNotOptimize(sk.public_key());  // builds the k*G table untimed
+  for (auto _ : state) benchmark::DoNotOptimize(sk.public_key());
+}
+BENCHMARK(BM_EcdsaPubkey);
+
+void BM_ScalarMulN(benchmark::State& state) {
+  // One product mod n; sc_inv chains about 450 of them per signature.
+  Rng rng(1);
+  crypto::U256 a(rng.next(), rng.next(), rng.next(), rng.next());
+  const crypto::U256 b(rng.next(), rng.next(), rng.next(), rng.next());
+  for (auto _ : state) {
+    a = crypto::sc_mul(a, b);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_ScalarMulN);
 
 void BM_EventQueueChurn(benchmark::State& state) {
   for (auto _ : state) {

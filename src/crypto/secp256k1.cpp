@@ -1,6 +1,7 @@
 #include "crypto/secp256k1.hpp"
 
 #include <cassert>
+#include <vector>
 
 namespace bng::crypto {
 
@@ -14,6 +15,8 @@ const U256 kN = U256::from_hex(
     "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141");
 // 2^256 mod p = 2^32 + 977
 constexpr std::uint64_t kC = 0x1000003d1ull;
+// 2^256 mod n = 2^256 - n, 129 bits (little-endian limbs)
+constexpr std::uint64_t kNC[3] = {0x402da1732fc9bebfull, 0x4551231950b75fc4ull, 1};
 
 const U256 kGx = U256::from_hex(
     "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798");
@@ -57,6 +60,41 @@ U256 reduce512(const U512& t) {
   while (r >= kP) {
     bool borrow;
     r = U256::sub(r, kP, borrow);
+  }
+  return r;
+}
+
+/// Reduce a 512-bit value modulo n using n's form 2^256 - c, c < 2^129:
+/// hi*2^256 + lo == hi*c + lo (mod n). Each fold drops about 127 bits, so at
+/// most four folds leave a value below 2^256, and since 2^256 < 2n one
+/// conditional subtraction finishes. `U512::mod` is the generic oracle.
+U256 reduce512_n(U512 t) {
+  while (t.limb[4] | t.limb[5] | t.limb[6] | t.limb[7]) {
+    U512 r;
+    for (int i = 0; i < 4; ++i) r.limb[i] = t.limb[i];
+    for (int i = 0; i < 4; ++i) {
+      const std::uint64_t h = t.limb[4 + i];
+      if (h == 0) continue;
+      unsigned __int128 carry = 0;
+      for (int j = 0; j < 3; ++j) {
+        unsigned __int128 cur =
+            static_cast<unsigned __int128>(h) * kNC[j] + r.limb[i + j] + carry;
+        r.limb[i + j] = static_cast<std::uint64_t>(cur);
+        carry = cur >> 64;
+      }
+      // hi*c + lo < 2^386, so the carry never runs past limb 7.
+      for (int k = i + 3; carry != 0; ++k) {
+        unsigned __int128 cur = static_cast<unsigned __int128>(r.limb[k]) + carry;
+        r.limb[k] = static_cast<std::uint64_t>(cur);
+        carry = cur >> 64;
+      }
+    }
+    t = r;
+  }
+  U256 r(t.limb[0], t.limb[1], t.limb[2], t.limb[3]);
+  if (r >= kN) {
+    bool borrow;
+    r = U256::sub(r, kN, borrow);
   }
   return r;
 }
@@ -136,31 +174,22 @@ std::optional<AffinePoint> lift_x(const U256& x, bool odd_y) {
   return p;
 }
 
-U256 sc_reduce(const U256& a) { return U512::from_u256(a).mod(kN); }
+U256 sc_reduce(const U256& a) { return reduce512_n(U512::from_u256(a)); }
 
 U256 sc_add(const U256& a, const U256& b) {
   bool carry;
-  U256 r = U256::add(a, b, carry);
-  if (carry) {
-    // r + 2^256 mod n: since n > 2^255, subtracting n once from (r + 2^256)
-    // may still exceed n; fall back to wide reduction.
-    U512 wide = U512::from_u256(r);
-    wide.limb[4] = 1;
-    return wide.mod(kN);
-  }
-  if (r >= kN) {
-    bool borrow;
-    r = U256::sub(r, kN, borrow);
-  }
-  return r;
+  U512 wide = U512::from_u256(U256::add(a, b, carry));
+  wide.limb[4] = carry;
+  return reduce512_n(wide);
 }
 
-U256 sc_mul(const U256& a, const U256& b) { return U256::mul_wide(a, b).mod(kN); }
+U256 sc_mul(const U256& a, const U256& b) { return reduce512_n(U256::mul_wide(a, b)); }
 
 U256 sc_neg(const U256& a) {
-  if (a.is_zero()) return a;
+  const U256 r = sc_reduce(a);
+  if (r.is_zero()) return r;
   bool borrow;
-  return U256::sub(kN, sc_reduce(a), borrow);
+  return U256::sub(kN, r, borrow);
 }
 
 U256 sc_inv(const U256& a) {
@@ -266,6 +295,32 @@ JacobianPoint scalar_mul(const U256& k, const AffinePoint& p) {
   for (int i = bits - 1; i >= 0; --i) {
     acc = point_double(acc);
     if (scalar.bit(i)) acc = point_add(acc, base);
+  }
+  return acc;
+}
+
+JacobianPoint scalar_mul_base(const U256& k) {
+  // table[15*w + j - 1] = j * 16^w * G for 64 four-bit windows, j in 1..15.
+  // Built once on first use (thread-safe static init), ~92 KB.
+  static const std::vector<JacobianPoint> table = [] {
+    std::vector<JacobianPoint> t;
+    t.reserve(64 * 15);
+    JacobianPoint base = JacobianPoint::from_affine(generator());
+    for (int w = 0; w < 64; ++w) {
+      JacobianPoint multiple = base;
+      for (int j = 1; j <= 15; ++j) {
+        t.push_back(multiple);
+        multiple = point_add(multiple, base);
+      }
+      base = multiple;  // 16 * base
+    }
+    return t;
+  }();
+  const U256 scalar = sc_reduce(k);
+  JacobianPoint acc = JacobianPoint::infinity();
+  for (int w = 0; w < 64; ++w) {
+    const unsigned nibble = (scalar.limb[w / 16] >> (4 * (w % 16))) & 15;
+    if (nibble != 0) acc = point_add(acc, table[15 * w + nibble - 1]);
   }
   return acc;
 }

@@ -3,9 +3,13 @@
 // Curve: y^2 = x^3 + 7 over F_p, p = 2^256 - 2^32 - 977.
 // Group order n = FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFE BAAEDCE6 AF48A03B BFFD25E8 8CD03641 41.
 //
-// Field arithmetic uses the special form of p for fast reduction; scalar
-// (mod n) arithmetic uses generic binary reduction since it is off the hot
-// path. Not constant-time (simulator-grade; see DESIGN.md §6).
+// Both moduli are reduced by folding their special form: p = 2^256 - (2^32 +
+// 977) for field elements, n = 2^256 - c with c < 2^129 for scalars (ECDSA
+// signing runs sc_inv, ~450 scalar products, per signature). Generator
+// multiples k*G (key derivation, the signing nonce point) come from a
+// fixed-base table of j*16^w*G, 64 windows x 15 points built once on first
+// use: at most 64 point additions and no doublings. Arbitrary points use
+// double-and-add. Not constant-time: this is a simulator, not a wallet.
 #pragma once
 
 #include <optional>
@@ -75,6 +79,9 @@ JacobianPoint point_add_affine(const JacobianPoint& p, const AffinePoint& q);
 
 /// k * P (double-and-add). k is interpreted mod n.
 JacobianPoint scalar_mul(const U256& k, const AffinePoint& p);
+
+/// k * G from the fixed-base table; same point as scalar_mul(k, generator()).
+JacobianPoint scalar_mul_base(const U256& k);
 
 /// u1*G + u2*P computed with interleaved doubling (Shamir's trick).
 JacobianPoint double_scalar_mul(const U256& u1, const U256& u2, const AffinePoint& p);

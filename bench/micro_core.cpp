@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the primitives underpinning the
 // simulation: hashing, Merkle trees, ECDSA and scalar arithmetic mod n, the
-// event queue, the network fast path, fork choice, mempool assembly, and the
-// consensus-delay metric.
+// event queue, the network fast path, fork choice, per-node block acceptance,
+// mempool assembly, and the consensus-delay metric.
 // These bound how far the experiment harness scales.
 //
 // Machine-readable output: pass --benchmark_format=json (or use
@@ -13,6 +13,7 @@
 #include "core_bench_util.hpp"
 #include "chain/block_tree.hpp"
 #include "chain/mempool.hpp"
+#include "chain/validation.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
@@ -22,6 +23,7 @@
 #include "net/latency_model.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
+#include "ng/poison.hpp"
 #include "obs/trace_ring.hpp"
 #include "sim/experiment.hpp"
 
@@ -362,6 +364,95 @@ void BM_BlockTreeForkChoiceGhost(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_BlockTreeForkChoiceGhost)->Arg(300);
+
+void BM_BlockAcceptFleet(benchmark::State& state) {
+  // One block reaching a 1000-node deployment: every node validates it and
+  // inserts it into its own heaviest-chain tree, the per-(node, block) cost
+  // of fig7/fig8a. The block carries 210 txs of 476 bytes (fig7_10k's 100 kB
+  // point), so a per-tx rescan at any node shows up here. Arg 0: a Bitcoin
+  // block. Arg 1: an NG microblock under a key block, also checked against
+  // the epoch rules and observed by each node's equivocation detector.
+  // Trees and detectors are rebuilt outside the clock every iteration.
+  constexpr int kNodes = 1000;
+  constexpr std::size_t kTxs = 210;
+  constexpr std::size_t kTxSize = 476;
+  constexpr Amount kFee = 1000;
+  const bool ng = state.range(0) != 0;
+  const chain::BlockPtr genesis = chain::make_genesis(kTxs, kCoin);
+  const Hash256 funding = genesis->txs()[0]->id();
+  const auto probe = chain::make_transfer(chain::Outpoint{funding, 0}, kCoin - kFee,
+                                          chain::address_from_tag(0), kFee);
+  const auto padding = static_cast<std::uint32_t>(kTxSize - probe->wire_size());
+  std::vector<chain::TxPtr> txs;
+  for (std::size_t i = 0; i < kTxs; ++i)
+    txs.push_back(chain::make_transfer(chain::Outpoint{funding, static_cast<std::uint32_t>(i)},
+                                       kCoin - kFee, chain::address_from_tag(i), kFee,
+                                       padding));
+  auto coinbase = [](std::uint32_t height) {
+    auto cb = std::make_shared<chain::Transaction>();
+    cb->coinbase_height = height;
+    cb->outputs.push_back(chain::TxOutput{50 * kCoin, chain::address_from_tag(height)});
+    return chain::TxPtr(std::move(cb));
+  };
+  const auto sk = crypto::PrivateKey::from_seed(1);
+  const auto pk = sk.public_key();
+  chain::BlockPtr key;
+  chain::BlockHeader h;
+  h.prev = genesis->id();
+  if (ng) {
+    std::vector<chain::TxPtr> key_txs{coinbase(1)};
+    chain::BlockHeader kh;
+    kh.type = chain::BlockType::kKey;
+    kh.prev = genesis->id();
+    kh.leader_key = pk;
+    kh.merkle_root = chain::compute_merkle_root(key_txs);
+    key = std::make_shared<chain::Block>(std::move(kh), std::move(key_txs), 0);
+    h.type = chain::BlockType::kMicro;
+    h.prev = key->id();
+    h.timestamp = 1.0;
+  } else {
+    txs.insert(txs.begin(), coinbase(1));
+  }
+  h.merkle_root = chain::compute_merkle_root(txs);
+  if (ng) h.signature = crypto::sign(sk, h.signing_hash());
+  const auto block = std::make_shared<chain::Block>(std::move(h), std::move(txs), 0);
+  auto interner = std::make_shared<BlockInterner>();
+  const BlockId id = interner->intern(block->id());
+  const chain::Params params = chain::Params::bitcoin_ng();
+
+  std::vector<chain::BlockTree> trees;
+  std::vector<ng::EquivocationDetector> detectors;
+  trees.reserve(kNodes);
+  for (auto _ : state) {
+    state.PauseTiming();
+    trees.clear();
+    detectors.assign(ng ? kNodes : 0, ng::EquivocationDetector{});
+    for (int n = 0; n < kNodes; ++n) {
+      trees.emplace_back(genesis, chain::TieBreak::kFirstSeen,
+                         chain::BlockTree::ForkChoice::kHeaviestChain, nullptr, interner);
+      if (ng) trees.back().insert(key, 0.0, 1.0);
+    }
+    state.ResumeTiming();
+    for (int n = 0; n < kNodes; ++n) {
+      chain::BlockTree& tree = trees[static_cast<std::size_t>(n)];
+      if (ng) {
+        const chain::Block& parent = *tree.best_entry().block;
+        benchmark::DoNotOptimize(
+            chain::check_microblock(*block, pk, parent.header().timestamp, 1.0, params, false)
+                .ok);
+        benchmark::DoNotOptimize(
+            detectors[static_cast<std::size_t>(n)].observe(key->id(), block));
+      } else {
+        benchmark::DoNotOptimize(chain::check_pow_block(*block).ok);
+      }
+      benchmark::DoNotOptimize(tree.insert(block, id, 1.0, block->work()));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kNodes);
+  state.counters["txs"] = static_cast<double>(block->txs().size());
+  state.counters["block_bytes"] = static_cast<double>(block->wire_size());
+}
+BENCHMARK(BM_BlockAcceptFleet)->Arg(0)->Arg(1);
 
 void BM_MempoolAssemble(benchmark::State& state) {
   chain::Mempool pool;

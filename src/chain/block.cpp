@@ -69,7 +69,14 @@ Block::Block(BlockHeader header, std::vector<TxPtr> txs, std::uint32_t miner, do
   ByteWriter w;
   header_.serialize(w);
   wire_size_ = w.size();
-  for (const auto& tx : txs_) wire_size_ += tx->wire_size();
+  for (const auto& tx : txs_) {
+    wire_size_ += tx->wire_size();
+    if (tx->is_coinbase()) ++coinbase_count_;
+    if (tx->is_poison()) ++poison_count_;
+    if (tx->is_coinbase() || tx->is_poison()) continue;
+    ++payload_tx_count_;
+    payload_fee_sum_ += tx->fee;
+  }
 }
 
 void Block::serialize(ByteWriter& w) const {

@@ -71,6 +71,15 @@ class Block {
   /// do not affect the weight of the chain").
   [[nodiscard]] double work() const { return work_; }
 
+  // Transaction facts, counted once by the constructor so that every node
+  // accepting the block reads them in O(1) instead of rescanning txs().
+  /// Payload transactions: neither coinbase nor poison.
+  [[nodiscard]] std::uint32_t payload_tx_count() const { return payload_tx_count_; }
+  /// Sum of the payload transactions' fees.
+  [[nodiscard]] Amount payload_fee_sum() const { return payload_fee_sum_; }
+  [[nodiscard]] std::uint32_t coinbase_count() const { return coinbase_count_; }
+  [[nodiscard]] std::uint32_t poison_count() const { return poison_count_; }
+
   /// Full wire serialization (header + transactions). The inverse of
   /// deserialize(); `miner` and `work` are simulation annotations carried
   /// alongside the consensus payload.
@@ -90,6 +99,10 @@ class Block {
   std::size_t wire_size_ = 0;
   std::uint32_t miner_ = 0;
   double work_ = 1.0;
+  std::uint32_t payload_tx_count_ = 0;
+  std::uint32_t coinbase_count_ = 0;
+  std::uint32_t poison_count_ = 0;
+  Amount payload_fee_sum_ = 0;
 };
 
 using BlockPtr = std::shared_ptr<const Block>;

@@ -24,6 +24,7 @@ BlockTree::BlockTree(BlockPtr genesis, TieBreak tie_break, ForkChoice fork_choic
   if (e.id >= index_by_id_.size()) index_by_id_.resize(e.id + 1, kNoIndex);
   index_by_id_[e.id] = 0;
   entries_.push_back(std::move(e));
+  if (fork_choice_ == ForkChoice::kHeaviestSubtree) ghost_.emplace_back();
   tip_history_.push_back({0.0, 0});
 }
 
@@ -46,15 +47,9 @@ std::uint32_t BlockTree::insert(const BlockPtr& block, BlockId id, Seconds recei
   e.height = entries_[parent].height + 1;
   e.pow_height = entries_[parent].pow_height + (block->is_pow() ? 1 : 0);
   e.chain_work = entries_[parent].chain_work + work;
-  e.subtree_work = work;
   e.received = received_at;
-  e.chain_tx_count = entries_[parent].chain_tx_count;
-  e.chain_fee_sum = entries_[parent].chain_fee_sum;
-  for (const auto& tx : block->txs()) {
-    if (tx->is_coinbase() || tx->is_poison()) continue;
-    ++e.chain_tx_count;
-    e.chain_fee_sum += tx->fee;
-  }
+  e.chain_tx_count = entries_[parent].chain_tx_count + block->payload_tx_count();
+  e.chain_fee_sum = entries_[parent].chain_fee_sum + block->payload_fee_sum();
   e.epoch_key_block = block->type() == BlockType::kKey
                           ? static_cast<std::uint32_t>(entries_.size())
                           : entries_[parent].epoch_key_block;
@@ -73,7 +68,6 @@ std::uint32_t BlockTree::insert(const BlockPtr& block, BlockId id, Seconds recei
 
   const auto idx = static_cast<std::uint32_t>(entries_.size());
   entries_.push_back(std::move(e));
-  entries_[parent].children.push_back(idx);
   if (id >= index_by_id_.size()) {
     index_by_id_.resize(std::max<std::size_t>(index_by_id_.size() * 2,
                                               static_cast<std::size_t>(id) + 1),
@@ -81,19 +75,28 @@ std::uint32_t BlockTree::insert(const BlockPtr& block, BlockId id, Seconds recei
   }
   index_by_id_[id] = idx;
 
-  // Propagate subtree work up for GHOST.
-  if (work > 0) {
-    for (std::int32_t a = static_cast<std::int32_t>(parent); a != -1;
-         a = entries_[static_cast<std::uint32_t>(a)].parent)
-      entries_[static_cast<std::uint32_t>(a)].subtree_work += work;
-  }
-
   if (fork_choice_ == ForkChoice::kHeaviestChain) {
     maybe_switch_tip(idx, received_at);
   } else {
+    add_ghost_node(idx, parent, work);
     recompute_ghost_tip(received_at);
   }
   return idx;
+}
+
+void BlockTree::add_ghost_node(std::uint32_t idx, std::uint32_t parent, double work) {
+  ghost_.emplace_back().subtree_work = work;
+  GhostNode& p = ghost_[parent];
+  if (p.last_child == kNoIndex)
+    p.first_child = idx;
+  else
+    ghost_[p.last_child].next_sibling = idx;
+  p.last_child = idx;
+  if (work > 0) {
+    for (std::int32_t a = static_cast<std::int32_t>(parent); a != -1;
+         a = entries_[static_cast<std::uint32_t>(a)].parent)
+      ghost_[static_cast<std::uint32_t>(a)].subtree_work += work;
+  }
 }
 
 bool BlockTree::tie_break_switch() {
@@ -132,11 +135,11 @@ void BlockTree::recompute_ghost_tip(Seconds at) {
   // weightless blocks (microblocks) to the deepest descendant.
   std::uint32_t cur = kGenesisIndex;
   for (;;) {
-    const Entry& e = entries_[cur];
     std::uint32_t best_child = UINT32_MAX;
     double best_work = -1;
-    for (std::uint32_t c : e.children) {
-      double w = entries_[c].subtree_work;
+    for (std::uint32_t c = ghost_[cur].first_child; c != kNoIndex;
+         c = ghost_[c].next_sibling) {
+      double w = ghost_[c].subtree_work;
       if (w > best_work || (w == best_work && best_child != UINT32_MAX && tie_break_switch())) {
         best_work = w;
         best_child = c;

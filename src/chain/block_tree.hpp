@@ -38,6 +38,11 @@ class BlockTree {
     kHeaviestSubtree,  ///< GHOST rule.
   };
 
+  /// Per-block state every tree keeps; insert fills it in O(1). The chain
+  /// totals add the block's own counts (Block::payload_tx_count /
+  /// payload_fee_sum, computed once per block, not per node) to the
+  /// parent's. The GHOST-only state — children lists and subtree work —
+  /// lives outside Entry, in arrays that only kHeaviestSubtree trees fill.
   struct Entry {
     BlockPtr block;
     BlockId id = kNoBlockId;        ///< interned block identity
@@ -45,16 +50,14 @@ class BlockTree {
     std::uint32_t jump = 0;         ///< skip-ancestor index (genesis: self)
     std::uint32_t height = 0;       ///< distance from genesis (all blocks)
     std::uint32_t pow_height = 0;   ///< number of PoW blocks up to here
-    double chain_work = 0;          ///< accumulated PoW work along the chain
-    double subtree_work = 0;        ///< own + descendants' work (GHOST)
-    Seconds received = 0;           ///< local arrival/creation time
-    std::vector<std::uint32_t> children;
-    // Cumulative chain statistics (genesis excluded):
-    std::uint64_t chain_tx_count = 0;  ///< payload txs (excl. coinbase/poison)
-    Amount chain_fee_sum = 0;          ///< payload tx fees along the chain
     /// Index of the nearest key-block ancestor (or self); genesis index when
     /// no key block exists yet. Defines the current NG epoch.
     std::uint32_t epoch_key_block = 0;
+    double chain_work = 0;          ///< accumulated PoW work along the chain
+    Seconds received = 0;           ///< local arrival/creation time
+    // Cumulative chain statistics (genesis excluded):
+    std::uint64_t chain_tx_count = 0;  ///< payload txs (excl. coinbase/poison)
+    Amount chain_fee_sum = 0;          ///< payload tx fees along the chain
   };
 
   /// A record of every best-tip change, consumed by the metrics suite.
@@ -134,11 +137,18 @@ class BlockTree {
   /// its parent exists), which makes the skip sound.
   [[nodiscard]] std::uint32_t ancestor_at_or_before(std::uint32_t tip, Seconds time) const;
 
+  /// Own plus descendants' PoW work of entry `idx`. GHOST trees only: a
+  /// heaviest-chain tree keeps no subtree state.
+  [[nodiscard]] double subtree_work(std::uint32_t idx) const {
+    return ghost_.at(idx).subtree_work;
+  }
+
   /// History of best-tip switches, in order (first entry is genesis at 0).
   [[nodiscard]] const std::vector<TipChange>& tip_history() const { return tip_history_; }
 
  private:
   void maybe_switch_tip(std::uint32_t candidate, Seconds at);
+  void add_ghost_node(std::uint32_t idx, std::uint32_t parent, double work);
   void recompute_ghost_tip(Seconds at);
   void set_tip(std::uint32_t tip, Seconds at);
   [[nodiscard]] bool tie_break_switch();
@@ -149,6 +159,16 @@ class BlockTree {
   Rng* rng_;  ///< used for random tie-breaking only; may be null for kFirstSeen
   std::shared_ptr<BlockInterner> interner_;
   std::vector<Entry> entries_;
+  /// GHOST-only, parallel to entries_ (empty for kHeaviestChain). Children
+  /// form an intrusive list in insertion order, which fixes the order in
+  /// which recompute_ghost_tip draws tie-break coins.
+  struct GhostNode {
+    double subtree_work = 0;                 ///< own + descendants' work
+    std::uint32_t first_child = kNoIndex;
+    std::uint32_t last_child = kNoIndex;
+    std::uint32_t next_sibling = kNoIndex;
+  };
+  std::vector<GhostNode> ghost_;
   std::vector<std::uint32_t> index_by_id_;  ///< BlockId -> entry index / kNoIndex
   std::uint32_t best_tip_ = 0;
   std::vector<TipChange> tip_history_;

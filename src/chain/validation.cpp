@@ -41,8 +41,7 @@ ValidationResult check_microblock(const Block& block, const crypto::PublicKey& e
     return ValidationResult::fail("microblock timestamp in the future");
   if (h.timestamp - prev_timestamp < params.min_microblock_interval - kClockTolerance)
     return ValidationResult::fail("microblock too soon after predecessor");
-  for (const auto& tx : block.txs())
-    if (tx->is_coinbase()) return ValidationResult::fail("coinbase in microblock");
+  if (block.coinbase_count() > 0) return ValidationResult::fail("coinbase in microblock");
   if (verify_signature && !crypto::verify(epoch_key, h.signing_hash(), *h.signature))
     return ValidationResult::fail("bad microblock signature");
   return {};
@@ -56,9 +55,8 @@ ValidationResult check_key_block(const Block& block) {
   if (block.txs().empty() || !block.txs()[0]->is_coinbase())
     return ValidationResult::fail("key block missing coinbase");
   // §4: key blocks elect leaders; ledger entries travel in microblocks.
-  for (std::size_t i = 1; i < block.txs().size(); ++i)
-    if (block.txs()[i]->is_coinbase())
-      return ValidationResult::fail("duplicate coinbase in key block");
+  if (block.coinbase_count() > 1)
+    return ValidationResult::fail("duplicate coinbase in key block");
   return {};
 }
 

@@ -2,7 +2,7 @@
 //
 // Backs the secp256k1 field/scalar implementation and proof-of-work target
 // comparisons. Not constant-time: this library is a protocol simulator, not
-// a wallet; see DESIGN.md §6.
+// a wallet, so timing side channels are out of scope.
 #pragma once
 
 #include <array>

@@ -186,7 +186,7 @@ chain::BlockPtr NgNode::forge_microblock(const Hash256& parent_id, std::uint64_t
 void NgNode::note_microblock(const chain::BlockPtr& block, BlockId id,
                              std::uint32_t parent_idx, NodeId from) {
   const Hash256 epoch_id = tree_.entry(tree_.entry(parent_idx).epoch_key_block).block->id();
-  if (auto fraud = detector_.observe(epoch_id, block->header())) {
+  if (auto fraud = detector_.observe(epoch_id, block)) {
     if (observer_ != nullptr) observer_->on_fraud_detected(id_, epoch_id, now());
     pending_frauds_.push_back(std::move(*fraud));
     // Gossip the proof: this conflicting sibling sits off the active chain,
@@ -206,6 +206,7 @@ void NgNode::note_microblock(const chain::BlockPtr& block, BlockId id,
 }
 
 void NgNode::record_poison_sites(const chain::Block& block, BlockId id) {
+  if (block.poison_count() == 0) return;
   for (const auto& tx : block.txs()) {
     if (!tx->poison) continue;
     const auto idx = tree_.find(tx->poison->accused_key_block);

@@ -5,18 +5,16 @@
 namespace bng::ng {
 
 std::optional<FraudEvidence> EquivocationDetector::observe(const Hash256& epoch_key_block,
-                                                           const chain::BlockHeader& header) {
-  const auto key = std::make_pair(epoch_key_block, header.prev);
-  auto [it, inserted] = first_seen_.emplace(key, header);
+                                                           const chain::BlockPtr& block) {
+  const auto key = std::make_pair(epoch_key_block, block->header().prev);
+  auto [it, inserted] = first_seen_.try_emplace(key, block);
   if (inserted) return std::nullopt;
-  const Hash256 first_id = it->second.id();
-  if (first_id == header.id()) return std::nullopt;  // same block re-observed
-  if (reported_epochs_.count(epoch_key_block) > 0) return std::nullopt;
-  reported_epochs_.insert(epoch_key_block);
+  if (it->second->id() == block->id()) return std::nullopt;  // same block re-observed
+  if (!reported_epochs_.insert(epoch_key_block).second) return std::nullopt;
   FraudEvidence evidence;
   evidence.accused_key_block = epoch_key_block;
-  evidence.header_a = it->second;
-  evidence.header_b = header;
+  evidence.header_a = it->second->header();
+  evidence.header_b = block->header();
   return evidence;
 }
 

@@ -36,14 +36,16 @@ struct FraudEvidence {
                                                         std::uint32_t tip) const;
 };
 
-/// Watches microblock headers and reports leader equivocation: two distinct
+/// Watches microblocks and reports leader equivocation: two distinct
 /// microblocks by the same epoch key extending the same predecessor.
 class EquivocationDetector {
  public:
-  /// Record an observed microblock header. Returns evidence the first time a
+  /// Record an observed microblock. Returns evidence the first time a
   /// conflict for (epoch, prev) is seen; at most one report per epoch.
+  /// Keeps a pointer to the first block per (epoch, prev) — the block tree
+  /// owns that block anyway — and copies headers only into a report.
   std::optional<FraudEvidence> observe(const Hash256& epoch_key_block,
-                                       const chain::BlockHeader& header);
+                                       const chain::BlockPtr& block);
 
   [[nodiscard]] std::size_t tracked() const { return first_seen_.size(); }
 
@@ -53,8 +55,8 @@ class EquivocationDetector {
       return Hash256Hasher{}(p.first) * 1000003 ^ Hash256Hasher{}(p.second);
     }
   };
-  /// (epoch key block, prev) -> first microblock header seen.
-  std::unordered_map<std::pair<Hash256, Hash256>, chain::BlockHeader, PairHasher> first_seen_;
+  /// (epoch key block, prev) -> first microblock seen.
+  std::unordered_map<std::pair<Hash256, Hash256>, chain::BlockPtr, PairHasher> first_seen_;
   std::unordered_set<Hash256, Hash256Hasher> reported_epochs_;
 };
 

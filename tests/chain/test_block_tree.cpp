@@ -246,8 +246,8 @@ TEST(BlockTreeGhost, SubtreeWorkAccumulates) {
   auto i1 = tree.insert(b1, 1.0, 1.0);
   auto b2 = make_block(BlockType::kPow, b1->id(), 2.0, 0);
   tree.insert(b2, 2.0, 1.0);
-  EXPECT_EQ(tree.entry(i1).subtree_work, 2.0);
-  EXPECT_EQ(tree.entry(0).subtree_work, 2.0);
+  EXPECT_EQ(tree.subtree_work(i1), 2.0);
+  EXPECT_EQ(tree.subtree_work(0), 2.0);
 }
 
 }  // namespace

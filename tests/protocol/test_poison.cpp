@@ -33,6 +33,13 @@ chain::BlockHeader signed_micro_header(const crypto::PrivateKey& sk, const Hash2
   return h;
 }
 
+/// The detector observes whole blocks (it keeps a pointer, not a header copy).
+chain::BlockPtr signed_micro_block(const crypto::PrivateKey& sk, const Hash256& prev,
+                                   Seconds ts, std::uint64_t salt = 0) {
+  return std::make_shared<chain::Block>(signed_micro_header(sk, prev, ts, salt),
+                                        std::vector<chain::TxPtr>{}, 0);
+}
+
 TEST(EquivocationDetectorTest, FirstObservationSilent) {
   EquivocationDetector det;
   auto sk = leader_key(0);
@@ -40,7 +47,7 @@ TEST(EquivocationDetectorTest, FirstObservationSilent) {
   epoch.bytes[0] = 1;
   Hash256 prev;
   prev.bytes[0] = 2;
-  EXPECT_FALSE(det.observe(epoch, signed_micro_header(sk, prev, 1.0)).has_value());
+  EXPECT_FALSE(det.observe(epoch, signed_micro_block(sk, prev, 1.0)).has_value());
 }
 
 TEST(EquivocationDetectorTest, ConflictReportedOnce) {
@@ -50,15 +57,15 @@ TEST(EquivocationDetectorTest, ConflictReportedOnce) {
   epoch.bytes[0] = 1;
   Hash256 prev;
   prev.bytes[0] = 2;
-  auto h1 = signed_micro_header(sk, prev, 1.0, 1);
-  auto h2 = signed_micro_header(sk, prev, 1.0, 2);
-  auto h3 = signed_micro_header(sk, prev, 1.0, 3);
+  auto h1 = signed_micro_block(sk, prev, 1.0, 1);
+  auto h2 = signed_micro_block(sk, prev, 1.0, 2);
+  auto h3 = signed_micro_block(sk, prev, 1.0, 3);
   EXPECT_FALSE(det.observe(epoch, h1).has_value());
   auto fraud = det.observe(epoch, h2);
   ASSERT_TRUE(fraud.has_value());
   EXPECT_EQ(fraud->accused_key_block, epoch);
-  EXPECT_EQ(fraud->header_a.id(), h1.id());
-  EXPECT_EQ(fraud->header_b.id(), h2.id());
+  EXPECT_EQ(fraud->header_a.id(), h1->id());
+  EXPECT_EQ(fraud->header_b.id(), h2->id());
   // Only one report per cheater (§4.5).
   EXPECT_FALSE(det.observe(epoch, h3).has_value());
 }
@@ -67,7 +74,7 @@ TEST(EquivocationDetectorTest, SameBlockReobservedIsBenign) {
   EquivocationDetector det;
   auto sk = leader_key(0);
   Hash256 epoch, prev;
-  auto h1 = signed_micro_header(sk, prev, 1.0);
+  auto h1 = signed_micro_block(sk, prev, 1.0);
   EXPECT_FALSE(det.observe(epoch, h1).has_value());
   EXPECT_FALSE(det.observe(epoch, h1).has_value());
 }
@@ -80,8 +87,8 @@ TEST(EquivocationDetectorTest, DifferentPrevIsBenign) {
   Hash256 prev1, prev2;
   prev1.bytes[0] = 1;
   prev2.bytes[0] = 2;
-  EXPECT_FALSE(det.observe(epoch, signed_micro_header(sk, prev1, 1.0)).has_value());
-  EXPECT_FALSE(det.observe(epoch, signed_micro_header(sk, prev2, 2.0)).has_value());
+  EXPECT_FALSE(det.observe(epoch, signed_micro_block(sk, prev1, 1.0)).has_value());
+  EXPECT_FALSE(det.observe(epoch, signed_micro_block(sk, prev2, 2.0)).has_value());
 }
 
 TEST(EquivocationDetectorTest, DistinctEpochsTrackedIndependently) {
@@ -90,10 +97,10 @@ TEST(EquivocationDetectorTest, DistinctEpochsTrackedIndependently) {
   Hash256 e1, e2, prev;
   e1.bytes[0] = 1;
   e2.bytes[0] = 2;
-  EXPECT_FALSE(det.observe(e1, signed_micro_header(sk, prev, 1.0, 1)).has_value());
-  EXPECT_FALSE(det.observe(e2, signed_micro_header(sk, prev, 1.0, 2)).has_value());
-  EXPECT_TRUE(det.observe(e1, signed_micro_header(sk, prev, 1.0, 3)).has_value());
-  EXPECT_TRUE(det.observe(e2, signed_micro_header(sk, prev, 1.0, 4)).has_value());
+  EXPECT_FALSE(det.observe(e1, signed_micro_block(sk, prev, 1.0, 1)).has_value());
+  EXPECT_FALSE(det.observe(e2, signed_micro_block(sk, prev, 1.0, 2)).has_value());
+  EXPECT_TRUE(det.observe(e1, signed_micro_block(sk, prev, 1.0, 3)).has_value());
+  EXPECT_TRUE(det.observe(e2, signed_micro_block(sk, prev, 1.0, 4)).has_value());
 }
 
 TEST(FraudEvidenceTest, PrunedHeaderPicksTheBranchThatLost) {

@@ -34,7 +34,7 @@
 #include "runner/journal.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
-#include "runner/tcp_fleet.hpp"
+#include "runner/worker_protocol.hpp"
 
 namespace {
 
@@ -73,11 +73,18 @@ Options:
 Observability (see bench/README.md "Observability"):
   --progress            render a [progress] line on stderr every ~500 ms
   --stats-json PATH     write an end-of-sweep telemetry report (records,
-                        journal fsync lag, per-worker fleet stats) to PATH
+                        journal fsync lag, --procs/--hosts worker table) to PATH
   --trace CATS          record a decision trace to <out>/<scenario>_trace.jsonl;
                         CATS = comma list of blocks, adversary, events (or all).
                         In-process runs only (not --procs/--hosts); artifacts
                         stay byte-identical to an untraced run
+
+Worker liveness (--procs and --hosts; see bench/README.md):
+  --heartbeat-ms N          worker heartbeat interval        (default 1000)
+  --heartbeat-timeout-ms N  silence before a worker is dead  (default 10000)
+                            (need 1 <= heartbeat-ms < heartbeat-timeout-ms)
+  --job-deadline-ms N       per-job hung-worker deadline     (default 0 = off)
+  --straggler-after-ms N    speculative re-dispatch age      (default 0 = off)
 
 Distributed mode (see bench/README.md):
   --serve PORT          run as a TCP fleet worker on PORT (0 = kernel pick)
@@ -87,10 +94,6 @@ Distributed mode (see bench/README.md):
   --resume PATH         continue the sweep journaled at PATH: scenario, scale
                         and seeds are rebuilt from the journal, finished
                         slots are kept, only the holes run
-  --heartbeat-ms N          worker heartbeat interval        (default 1000)
-  --heartbeat-timeout-ms N  silence before a worker is dead  (default 10000)
-  --job-deadline-ms N       per-job hung-worker deadline     (default 0 = off)
-  --straggler-after-ms N    speculative re-dispatch age      (default 0 = off)
   --connect-timeout-ms N    per-host TCP connect timeout     (default 5000)
 
 Environment fallbacks: REPRO_NODES, REPRO_BLOCKS, REPRO_SEEDS, REPRO_JOBS,
@@ -186,14 +189,14 @@ std::unique_ptr<runner::RunCache> worker_cache_from_args(int argc, char** argv,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Hidden worker mode: speak the record protocol on stdin/stdout and never
-  // touch the CLI surface (a stray printf would corrupt the framing).
+  // Hidden worker mode: speak the worker protocol on stdin, a socketpair
+  // end the dispatcher handed over, and never touch the CLI surface.
   if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
     bool ok = false;
     const auto cache = worker_cache_from_args(argc, argv, 2, ok);
     if (!ok) return 1;
     bng::runner::ActiveCacheScope cache_scope(cache.get());
-    return bng::runner::worker_main(0, 1);
+    return bng::runner::worker_session(0);
   }
 
   // TCP fleet worker mode: bind, announce the port, serve dispatchers until
@@ -396,6 +399,16 @@ int main(int argc, char** argv) {
       continue;
     }
     std::fprintf(stderr, "ngsim: unknown option '%s'\n\n%s", arg, kUsage);
+    return 1;
+  }
+
+  try {
+    runner::check_fleet_tuning(options.fleet);
+  } catch (const std::invalid_argument&) {
+    std::fprintf(stderr,
+                 "ngsim: --heartbeat-ms (%u) must be at least 1 and below "
+                 "--heartbeat-timeout-ms (%u)\n",
+                 options.fleet.heartbeat_ms, options.fleet.heartbeat_timeout_ms);
     return 1;
   }
 

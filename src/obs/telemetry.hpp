@@ -1,6 +1,6 @@
-// Runtime sweep/fleet telemetry: what the dispatcher knows about a sweep
-// while it runs, aggregated from the record sink, the journal writer, and
-// (for the TCP fleet) per-worker liveness and the compact stats frame each
+// Runtime sweep telemetry: what the dispatcher knows about a sweep while it
+// runs, aggregated from the record sink, the journal writer, and (under
+// --procs or --hosts) per-worker liveness and the compact stats frame each
 // worker piggybacks on its 'B' heartbeats.
 //
 // One SweepTelemetry instance is shared by the sweep engine, the executor,
@@ -33,7 +33,7 @@ struct WorkerStatsFrame {
   std::uint32_t cache_stores = 0;
 };
 
-/// Dispatcher-side view of one remote worker.
+/// Dispatcher-side view of one worker process.
 struct WorkerTelemetry {
   std::string endpoint;
   bool alive = false;
@@ -56,7 +56,7 @@ class SweepTelemetry {
   void start(std::size_t total_jobs, std::size_t prefilled);
   void on_record_delivered();
   /// Simulation events a finished job executed (EventQueue::events_executed).
-  /// Reported by the in-process thread executor; process/fleet workers run
+  /// Reported by the in-process thread executor; dispatcher workers run
   /// their experiments in other address spaces and report 0.
   void add_events(std::uint64_t n);
 
@@ -70,7 +70,7 @@ class SweepTelemetry {
 
   // --- Record cache (runner/cache.hpp) --------------------------------------
   /// Final cache counters for the sweep: the dispatcher's own cache plus the
-  /// sum of every fleet worker's self-reported counters. Adds a "cache"
+  /// sum of every dispatcher worker's self-reported counters. Adds a "cache"
   /// section to the stats JSON.
   void cache_stats(std::uint64_t hits, std::uint64_t misses, std::uint64_t stale,
                    std::uint64_t stores);
@@ -82,10 +82,10 @@ class SweepTelemetry {
   void adaptive_stats(std::size_t dense_points, std::size_t dense_jobs,
                       std::size_t evaluated_points, std::size_t jobs_dispatched);
 
-  // --- Fleet worker table (TcpFleetExecutor) --------------------------------
+  // --- Worker table (the --procs/--hosts dispatcher) ------------------------
   /// Size the worker table; called once before dispatch.
   void init_workers(const std::vector<std::string>& endpoints);
-  /// Overwrite one worker's row (the fleet executor owns the truth and
+  /// Overwrite one worker's row (the dispatcher owns the truth and
   /// pushes snapshots on every state change).
   void update_worker(std::size_t index, const WorkerTelemetry& w);
 
@@ -94,7 +94,7 @@ class SweepTelemetry {
   ///   [progress] records=3/8 events_per_sec=1.2e+06 rss_peak_mb=410.2
   ///   workers_alive=2/2 reconnects=0 spec_wins=0
   /// (events_per_sec appears once any job reported its executed-event count;
-  /// the workers fields are omitted when no fleet is attached).
+  /// the workers fields are omitted when no worker table is set).
   [[nodiscard]] std::string progress_line() const;
 
   /// End-of-sweep JSON report for `--stats-json`.

@@ -178,7 +178,7 @@ AdaptiveResult run_adaptive(const Scenario& scenario, const AdaptiveOptions& opt
     if (want == 0) return;
     ExecutionPlan plan{scenario, points, seeds, options.sweep.share_workload, &done};
     plan.telemetry = tel;
-    std::unique_ptr<Executor> executor = make_sweep_executor(options.sweep, tel);
+    std::unique_ptr<Executor> executor = make_sweep_executor(options.sweep);
     try {
       width = std::max(width, executor->run(plan, sink));
     } catch (...) {

@@ -1,30 +1,37 @@
-#include "runner/tcp_fleet.hpp"
-
+// The dispatcher behind `--procs` and `--hosts` (design: runner/executor.hpp).
+// Past building the worker list, only open_link and close_link know whether
+// a worker is a local child or a TCP endpoint.
 #include <fcntl.h>
 #include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
-#include <cstdio>
 #include <cstring>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/telemetry.hpp"
+#include "runner/executor.hpp"
 #include "runner/io_util.hpp"
 #include "runner/record_codec.hpp"
+#include "runner/sweep.hpp"
 #include "runner/worker_protocol.hpp"
 
 namespace bng::runner {
+
+void check_fleet_tuning(const FleetTuning& tuning) {
+  if (tuning.heartbeat_ms < 1 || tuning.heartbeat_ms >= tuning.heartbeat_timeout_ms)
+    throw std::invalid_argument(
+        "dispatcher: heartbeat_ms (" + std::to_string(tuning.heartbeat_ms) +
+        ") must be at least 1 and below heartbeat_timeout_ms (" +
+        std::to_string(tuning.heartbeat_timeout_ms) + ")");
+}
 
 namespace {
 
@@ -33,11 +40,6 @@ std::uint64_t now_ms() {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void set_nodelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 bool send_frame(int fd, std::string_view payload) {
@@ -52,7 +54,7 @@ struct Endpoint {
 Endpoint parse_endpoint(const std::string& spec) {
   const std::size_t colon = spec.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size())
-    throw std::invalid_argument("tcp fleet: bad host spec '" + spec +
+    throw std::invalid_argument("dispatcher: bad host spec '" + spec +
                                 "' (expected host:port)");
   return Endpoint{spec.substr(0, colon), spec.substr(colon + 1)};
 }
@@ -108,7 +110,7 @@ int connect_with_timeout(const Endpoint& ep, std::uint32_t timeout_ms,
       // poll, so blocking sockets keep the I/O paths simple).
       const int flags = ::fcntl(fd, F_GETFL);
       if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-      set_nodelay(fd);
+      io::set_nodelay(fd);
       break;
     }
     error = std::string("connect: ") + std::strerror(errno);
@@ -121,12 +123,16 @@ int connect_with_timeout(const Endpoint& ep, std::uint32_t timeout_ms,
 
 enum class JobState : std::uint8_t { kPending, kInflight, kDone };
 
-struct RemoteWorker {
-  Endpoint endpoint;
-  std::string spec;  ///< original "host:port" for messages
+/// One worker and its link. With an endpoint the link is a TCP connection
+/// to an `ngsim --serve` worker; without one it is a socketpair to a local
+/// child that opening the link spawns.
+struct Worker {
+  std::string name;  ///< "host:port" or "local:<i>", for messages and telemetry
+  std::optional<Endpoint> endpoint;
+  pid_t pid = -1;  ///< the local child while its link is open
   int fd = -1;
   bool alive = false;
-  bool abandoned = false;  ///< reconnect budget exhausted
+  bool abandoned = false;  ///< reopen budget exhausted
   std::string buf;
   std::optional<std::size_t> inflight;  ///< job index
   /// True when the in-flight job is a speculative duplicate (straggler
@@ -134,10 +140,10 @@ struct RemoteWorker {
   bool speculative = false;
   std::uint64_t last_heard_ms = 0;
   std::uint64_t job_started_ms = 0;
-  std::uint32_t reconnects = 0;  ///< consecutive reconnect attempts; reset on a record
+  std::uint32_t reconnects = 0;  ///< consecutive reopen attempts; reset on a record
   std::uint64_t next_reconnect_ms = 0;
   std::uint32_t records_seen = 0;
-  std::string last_error;  ///< most recent connect failure, for diagnostics
+  std::string last_error;  ///< most recent open failure, for diagnostics
 
   // Telemetry accumulators (reported through obs::SweepTelemetry).
   std::uint32_t total_reconnects = 0;  ///< lifetime, never reset
@@ -147,28 +153,27 @@ struct RemoteWorker {
   obs::WorkerStatsFrame reported;  ///< latest piggybacked stats frame
 };
 
-class TcpFleetExecutor final : public Executor {
+class Dispatcher final : public Executor {
  public:
-  explicit TcpFleetExecutor(TcpFleetOptions options) : opt_(std::move(options)) {
-    if (opt_.hosts.empty())
-      throw std::invalid_argument("tcp fleet: at least one --hosts endpoint required");
+  explicit Dispatcher(const SweepOptions& options) : opt_(options) {
+    check_fleet_tuning(opt_.fleet);
   }
 
-  ~TcpFleetExecutor() override { close_all(); }
+  ~Dispatcher() override { close_all(); }
 
   std::uint32_t run(const ExecutionPlan& plan, const RecordSink& sink) override {
     if (!plan.scenario.source)
       throw std::invalid_argument(
-          "tcp fleet execution needs a shippable scenario (a registered name or a "
-          "scenario file); this scenario was built programmatically");
+          "--procs/--hosts execution needs a shippable scenario (a registered name "
+          "or a scenario file); this scenario was built programmatically");
     if (plan.trace_mask != 0)
       throw std::invalid_argument(
-          "tcp fleet: decision tracing requires the in-process executor");
+          "dispatcher: decision tracing requires the in-process executor");
+    telemetry_ = plan.telemetry;
     seed_base_ = plan.scenario.seed_base;
     seeds_ = plan.seeds;
-    n_points_ = plan.points.size();
 
-    const std::size_t n_jobs = n_points_ * static_cast<std::size_t>(plan.seeds);
+    const std::size_t n_jobs = plan.points.size() * static_cast<std::size_t>(plan.seeds);
     job_state_.assign(n_jobs, JobState::kPending);
     job_attempts_.assign(n_jobs, 0);
     queue_.clear();
@@ -180,33 +185,49 @@ class TcpFleetExecutor final : public Executor {
       }
     }
     const std::size_t n_pending = queue_.size();
-    if (n_pending == 0) return static_cast<std::uint32_t>(opt_.hosts.size());
 
     workers_.clear();
-    workers_.reserve(opt_.hosts.size());
-    for (const std::string& spec : opt_.hosts) {
-      RemoteWorker w;
-      w.endpoint = parse_endpoint(spec);
-      w.spec = spec;
-      workers_.push_back(std::move(w));
+    if (!opt_.hosts.empty()) {
+      for (const std::string& spec : opt_.hosts) {
+        Worker w;
+        w.name = spec;
+        w.endpoint = parse_endpoint(spec);
+        workers_.push_back(std::move(w));
+      }
+    } else {
+      const std::size_t width = std::min<std::size_t>(
+          std::max(opt_.procs, 1u), std::max<std::size_t>(n_pending, 1));
+      for (std::size_t i = 0; i < width; ++i) {
+        Worker w;
+        w.name = "local:" + std::to_string(i);
+        workers_.push_back(std::move(w));
+      }
+    }
+    const auto width = static_cast<std::uint32_t>(workers_.size());
+    if (n_pending == 0) return width;
+    if (telemetry_ != nullptr) {
+      std::vector<std::string> names;
+      for (const Worker& w : workers_) names.push_back(w.name);
+      telemetry_->init_workers(names);
     }
 
     try {
       const std::uint64_t start = now_ms();
       bool any_alive = false;
-      for (RemoteWorker& w : workers_) {
-        if (try_connect(w, plan, start))
+      for (Worker& w : workers_) {
+        if (open_link(w, plan, start))
           any_alive = true;
         else
           schedule_reconnect(w, start);
       }
       if (!any_alive) {
-        // Fail fast: zero reachable hosts is a configuration error (a typo'd
-        // endpoint, workers not started), not a transient fault worth a full
-        // reconnect budget. Name every host and what its connect said.
-        std::string msg = "tcp fleet: no --hosts endpoint is reachable:";
-        for (const RemoteWorker& w : workers_)
-          msg += "\n  " + w.spec + " (" + w.last_error + ")";
+        // Fail fast: zero reachable workers is a configuration error (a
+        // typo'd endpoint, workers not started), not a transient fault worth
+        // a full reopen budget. Name every worker and what its open said.
+        std::string msg = opt_.hosts.empty()
+                              ? "dispatcher: no local worker could be started:"
+                              : "dispatcher: no --hosts endpoint is reachable:";
+        for (const Worker& w : workers_) msg += "\n  " + w.name + " (" + w.last_error + ")";
         throw std::runtime_error(msg);
       }
 
@@ -228,35 +249,36 @@ class TcpFleetExecutor final : public Executor {
     }
 
     publish_telemetry();  // final snapshot shows end-of-sweep liveness
-    close_all();          // orderly EOF: workers return to their accept loop
-    return static_cast<std::uint32_t>(workers_.size());
+    close_all();  // TCP workers see EOF and return to their accept loop
+    return width;
   }
 
  private:
   WorkerHooks hooks_for(std::size_t worker_index) const {
     WorkerHooks hooks;
     if (worker_index == 0) {
-      if (opt_.test_kill_host0_after_jobs >= 0)
-        hooks.kill_after = static_cast<std::uint32_t>(opt_.test_kill_host0_after_jobs);
+      if (opt_.test_kill_worker0_after_jobs >= 0)
+        hooks.kill_after = static_cast<std::uint32_t>(opt_.test_kill_worker0_after_jobs);
       if (opt_.test_hang_host0_after_jobs >= 0)
         hooks.hang_after = static_cast<std::uint32_t>(opt_.test_hang_host0_after_jobs);
     }
     return hooks;
   }
 
-  /// Connect + handshake. True on success; failure reason in w.last_error.
-  bool try_connect(RemoteWorker& w, const ExecutionPlan& plan, std::uint64_t now) {
-    const int fd =
-        connect_with_timeout(w.endpoint, opt_.tuning.connect_timeout_ms, w.last_error);
-    if (fd < 0) return false;
+  /// Open w's link (connect, or spawn a local child) and send the
+  /// handshake. True on success; the failure reason is in w.last_error.
+  bool open_link(Worker& w, const ExecutionPlan& plan, std::uint64_t now) {
+    w.fd = w.endpoint ? connect_with_timeout(*w.endpoint, opt_.fleet.connect_timeout_ms,
+                                             w.last_error)
+                      : spawn(w);
+    if (w.fd < 0) return false;
     const std::size_t index = static_cast<std::size_t>(&w - workers_.data());
-    if (!send_frame(fd, handshake_payload(*plan.scenario.source, plan.share_workload,
-                                          hooks_for(index), opt_.tuning.heartbeat_ms))) {
+    if (!send_frame(w.fd, handshake_payload(*plan.scenario.source, plan.share_workload,
+                                            hooks_for(index), opt_.fleet.heartbeat_ms))) {
       w.last_error = "handshake send failed";
-      ::close(fd);
+      close_link(w);
       return false;
     }
-    w.fd = fd;
     w.alive = true;
     w.buf.clear();
     w.inflight.reset();
@@ -266,51 +288,103 @@ class TcpFleetExecutor final : public Executor {
     return true;
   }
 
+  /// Fork a local worker on a fresh socketpair; returns the parent's end
+  /// (w.pid set), or -1 with w.last_error filled in.
+  int spawn(Worker& w) {
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+      w.last_error = std::string("socketpair: ") + std::strerror(errno);
+      return -1;
+    }
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      w.last_error = std::string("fork: ") + std::strerror(errno);
+      ::close(sv[0]);
+      ::close(sv[1]);
+      return -1;
+    }
+    if (pid == 0) {
+      // Child. Drop every parent-side fd: a sibling holding a copy would
+      // keep that worker from ever seeing EOF.
+      ::close(sv[0]);
+      for (const Worker& other : workers_)
+        if (other.fd >= 0) ::close(other.fd);
+      if (opt_.worker_argv.empty()) ::_exit(worker_session(sv[1]));
+      // Exec mode: the worker speaks the protocol on stdin (dup2 clears
+      // the close-on-exec flag on the copy).
+      ::dup2(sv[1], STDIN_FILENO);
+      std::vector<char*> argv;
+      argv.reserve(opt_.worker_argv.size() + 1);
+      for (const std::string& a : opt_.worker_argv)
+        argv.push_back(const_cast<char*>(a.c_str()));
+      argv.push_back(nullptr);
+      ::execvp(argv[0], argv.data());
+      ::_exit(127);
+    }
+    ::close(sv[1]);
+    w.pid = pid;
+    return sv[0];
+  }
+
+  /// Close w's link. A local child is killed and reaped; SIGCONT follows
+  /// the SIGKILL so that even a stopped child dies and waitpid cannot block.
+  static void close_link(Worker& w) {
+    if (w.fd >= 0) ::close(w.fd);
+    w.fd = -1;
+    if (w.pid > 0) {
+      ::kill(w.pid, SIGKILL);
+      ::kill(w.pid, SIGCONT);
+      while (::waitpid(w.pid, nullptr, 0) < 0 && errno == EINTR) {
+      }
+      w.pid = -1;
+    }
+  }
+
   void check_liveness(std::uint64_t now) {
-    for (RemoteWorker& w : workers_) {
+    for (Worker& w : workers_) {
       if (!w.alive) continue;
-      if (now - w.last_heard_ms > opt_.tuning.heartbeat_timeout_ms) {
+      if (now - w.last_heard_ms > opt_.fleet.heartbeat_timeout_ms) {
         // Dead (or stopped): nothing has arrived inside the window the
         // worker was told to heartbeat within.
         disconnect(w, now);
         continue;
       }
-      if (w.inflight && opt_.tuning.job_deadline_ms > 0 &&
-          now - w.job_started_ms > opt_.tuning.job_deadline_ms) {
+      if (w.inflight && opt_.fleet.job_deadline_ms > 0 &&
+          now - w.job_started_ms > opt_.fleet.job_deadline_ms) {
         // Hung, not dead: the worker still heartbeats but its job blew the
-        // deadline. Abandon the connection; the job runs elsewhere.
+        // deadline. Abandon the link; the job runs elsewhere.
         disconnect(w, now);
       }
     }
   }
 
   void try_reconnects(const ExecutionPlan& plan, std::uint64_t now) {
-    for (RemoteWorker& w : workers_) {
+    for (Worker& w : workers_) {
       if (w.alive || w.abandoned || w.next_reconnect_ms == 0 ||
           now < w.next_reconnect_ms)
         continue;
       ++w.reconnects;
       ++w.total_reconnects;
-      if (!try_connect(w, plan, now)) schedule_reconnect(w, now);
+      if (!open_link(w, plan, now)) schedule_reconnect(w, now);
     }
   }
 
-  void schedule_reconnect(RemoteWorker& w, std::uint64_t now) {
+  void schedule_reconnect(Worker& w, std::uint64_t now) {
     if (w.abandoned) return;
-    if (w.reconnects >= opt_.tuning.max_reconnects) {
+    if (w.reconnects >= opt_.fleet.max_reconnects) {
       w.abandoned = true;
       w.next_reconnect_ms = 0;
       return;
     }
     const std::uint32_t shift = w.reconnects < 16 ? w.reconnects : 16;
     std::uint64_t delay =
-        static_cast<std::uint64_t>(opt_.tuning.reconnect_base_ms) << shift;
-    if (delay > opt_.tuning.reconnect_cap_ms) delay = opt_.tuning.reconnect_cap_ms;
+        static_cast<std::uint64_t>(opt_.fleet.reconnect_base_ms) << shift;
+    if (delay > opt_.fleet.reconnect_cap_ms) delay = opt_.fleet.reconnect_cap_ms;
     w.next_reconnect_ms = now + delay;
   }
 
   void dispatch(std::uint64_t now) {
-    for (RemoteWorker& w : workers_) {
+    for (Worker& w : workers_) {
       if (queue_.empty()) break;
       if (!w.alive || w.inflight) continue;
       const std::size_t job = queue_.front();
@@ -321,21 +395,21 @@ class TcpFleetExecutor final : public Executor {
       }
       job_state_[job] = JobState::kInflight;
     }
-    if (queue_.empty() && opt_.tuning.straggler_after_ms > 0) speculate(now);
+    if (queue_.empty() && opt_.fleet.straggler_after_ms > 0) speculate(now);
   }
 
   /// Straggler policy: once the queue is dry, duplicate the longest-running
   /// single-copy job onto each idle worker. The records dedupe by slot, so a
-  /// lost race costs nothing and a won race hides a slow host.
+  /// lost race costs nothing and a won race hides a slow worker.
   void speculate(std::uint64_t now) {
-    for (RemoteWorker& idle : workers_) {
+    for (Worker& idle : workers_) {
       if (!idle.alive || idle.inflight) continue;
       std::size_t best_job = SIZE_MAX;
       std::uint64_t best_elapsed = 0;
-      for (const RemoteWorker& busy : workers_) {
+      for (const Worker& busy : workers_) {
         if (!busy.alive || !busy.inflight) continue;
         const std::uint64_t elapsed = now - busy.job_started_ms;
-        if (elapsed < opt_.tuning.straggler_after_ms || elapsed < best_elapsed)
+        if (elapsed < opt_.fleet.straggler_after_ms || elapsed < best_elapsed)
           continue;
         if (copies_inflight(*busy.inflight) > 1) continue;  // already duplicated
         best_job = *busy.inflight;
@@ -348,13 +422,12 @@ class TcpFleetExecutor final : public Executor {
 
   std::size_t copies_inflight(std::size_t job) const {
     std::size_t n = 0;
-    for (const RemoteWorker& w : workers_)
+    for (const Worker& w : workers_)
       if (w.alive && w.inflight && *w.inflight == job) ++n;
     return n;
   }
 
-  bool assign(RemoteWorker& w, std::size_t job, std::uint64_t now,
-              bool speculative = false) {
+  bool assign(Worker& w, std::size_t job, std::uint64_t now, bool speculative = false) {
     const auto point = static_cast<std::uint32_t>(job / seeds_);
     const auto ordinal = static_cast<std::uint32_t>(job % seeds_);
     if (!send_frame(w.fd, job_payload(point, ordinal))) {
@@ -367,9 +440,8 @@ class TcpFleetExecutor final : public Executor {
     return true;
   }
 
-  void disconnect(RemoteWorker& w, std::uint64_t now) {
-    if (w.fd >= 0) ::close(w.fd);
-    w.fd = -1;
+  void disconnect(Worker& w, std::uint64_t now) {
+    close_link(w);
     w.alive = false;
     w.buf.clear();
     if (w.inflight) {
@@ -384,11 +456,11 @@ class TcpFleetExecutor final : public Executor {
   /// Push a snapshot of every worker into the attached telemetry (no-op
   /// without one). Control-plane cost: one mutex round per poll tick.
   void publish_telemetry() const {
-    if (opt_.telemetry == nullptr) return;
+    if (telemetry_ == nullptr) return;
     for (std::size_t i = 0; i < workers_.size(); ++i) {
-      const RemoteWorker& w = workers_[i];
+      const Worker& w = workers_[i];
       obs::WorkerTelemetry t;
-      t.endpoint = w.spec;
+      t.endpoint = w.name;
       t.alive = w.alive;
       t.abandoned = w.abandoned;
       t.records = w.records_seen;
@@ -398,7 +470,7 @@ class TcpFleetExecutor final : public Executor {
       t.heartbeats = w.heartbeats;
       t.max_silence_ms = w.max_silence_ms;
       t.reported = w.reported;
-      opt_.telemetry->update_worker(i, t);
+      telemetry_->update_worker(i, t);
     }
   }
 
@@ -407,9 +479,9 @@ class TcpFleetExecutor final : public Executor {
     if (copies_inflight(job) > 0) return;  // a speculative duplicate survives
     const auto point = static_cast<std::uint32_t>(job / seeds_);
     const auto ordinal = static_cast<std::uint32_t>(job % seeds_);
-    if (++job_attempts_[job] >= opt_.tuning.max_job_attempts)
+    if (++job_attempts_[job] >= opt_.fleet.max_job_attempts)
       throw std::runtime_error(
-          "tcp fleet: job (point " + std::to_string(point) + ", seed ordinal " +
+          "dispatcher: job (point " + std::to_string(point) + ", seed ordinal " +
           std::to_string(ordinal) + ", seed " +
           std::to_string(job_seed(seed_base_, point, ordinal)) + ") lost its worker " +
           std::to_string(job_attempts_[job]) + " times; giving up on the sweep");
@@ -420,16 +492,16 @@ class TcpFleetExecutor final : public Executor {
   }
 
   /// The graceful-degradation floor: fail loudly the moment no live worker,
-  /// no queued reconnect, and no in-flight job can still deliver a record —
+  /// no pending reopen, and no in-flight job can still deliver a record —
   /// never hang the merge loop awaiting one that cannot arrive.
   void ensure_progress(std::size_t completed, std::size_t n_pending) const {
     if (completed >= n_pending) return;
-    for (const RemoteWorker& w : workers_) {
+    for (const Worker& w : workers_) {
       if (w.alive) return;
       if (!w.abandoned && w.next_reconnect_ms != 0) return;
     }
     throw std::runtime_error(
-        "tcp fleet: no live workers remain and every reconnect budget is "
+        "dispatcher: no live workers remain and every reconnect budget is "
         "exhausted (" +
         std::to_string(n_pending - completed) + " of " + std::to_string(n_pending) +
         " jobs incomplete)");
@@ -444,17 +516,18 @@ class TcpFleetExecutor final : public Executor {
       fds.push_back(pollfd{workers_[i].fd, POLLIN, 0});
       index.push_back(i);
     }
-    // Short tick so liveness checks, reconnect timers, and the interrupt
-    // flag are serviced even when no bytes flow.
+    // Short tick so liveness checks, reopen timers, and the interrupt flag
+    // are serviced even when no bytes flow. A record wakes the poll at once,
+    // and the next loop pass hands that worker its next job.
     const int rc = ::poll(fds.data(), fds.size(), 50);
     if (rc < 0) {
       if (errno == EINTR) return;
-      throw std::runtime_error(std::string("tcp fleet: poll: ") + std::strerror(errno));
+      throw std::runtime_error(std::string("dispatcher: poll: ") + std::strerror(errno));
     }
     const std::uint64_t now = now_ms();
     for (std::size_t k = 0; k < fds.size(); ++k) {
       if (fds[k].revents == 0) continue;
-      RemoteWorker& w = workers_[index[k]];
+      Worker& w = workers_[index[k]];
       if (!w.alive) continue;  // disconnected earlier in this pass
       switch (io::recv_some(w.fd, w.buf)) {
         case io::ReadResult::kData:
@@ -472,12 +545,12 @@ class TcpFleetExecutor final : public Executor {
     }
   }
 
-  void drain_frames(RemoteWorker& w, const ExecutionPlan& plan, const RecordSink& sink,
+  void drain_frames(Worker& w, const ExecutionPlan& plan, const RecordSink& sink,
                     std::size_t& completed, std::uint64_t now) {
     std::string payload;
     while (w.alive && take_frame(w.buf, payload)) {
       if (payload.empty())
-        throw std::runtime_error("tcp fleet: empty frame from " + w.spec);
+        throw std::runtime_error("dispatcher: empty frame from " + w.name);
       switch (static_cast<FrameKind>(payload[0])) {
         case FrameKind::kHeartbeat: {
           // The bytes themselves already refreshed last_heard_ms; a stats
@@ -492,28 +565,27 @@ class TcpFleetExecutor final : public Executor {
                         now);
           break;
         case FrameKind::kError:
-          throw std::runtime_error("sweep job failed in worker " + w.spec + ": " +
+          throw std::runtime_error("sweep job failed in worker " + w.name + ": " +
                                    payload.substr(1));
         default:
-          throw std::runtime_error("tcp fleet: unexpected frame from " + w.spec);
+          throw std::runtime_error("dispatcher: unexpected frame from " + w.name);
       }
     }
   }
 
-  void handle_record(RemoteWorker& w, std::string_view bytes, const ExecutionPlan& plan,
+  void handle_record(Worker& w, std::string_view bytes, const ExecutionPlan& plan,
                      const RecordSink& sink, std::size_t& completed, std::uint64_t now) {
     RunRecord rec = decode_record(bytes);
     if (rec.point >= plan.points.size() || rec.ordinal >= plan.seeds)
-      throw std::runtime_error("tcp fleet: record identity out of range from " +
-                               w.spec);
+      throw std::runtime_error("dispatcher: record identity out of range from " + w.name);
     const std::size_t job = static_cast<std::size_t>(rec.point) * seeds_ + rec.ordinal;
     if (!w.inflight || *w.inflight != job)
-      throw std::runtime_error("tcp fleet: record for a job " + w.spec +
+      throw std::runtime_error("dispatcher: record for a job " + w.name +
                                " was not assigned");
     const bool was_speculative = w.speculative;
     w.inflight.reset();
     w.speculative = false;
-    w.reconnects = 0;  // delivered work proves the host healthy again
+    w.reconnects = 0;  // delivered work proves the worker healthy again
     ++w.records_seen;
 
     if (job_state_[job] != JobState::kDone) {
@@ -536,171 +608,34 @@ class TcpFleetExecutor final : public Executor {
     const std::size_t index = static_cast<std::size_t>(&w - workers_.data());
     if (index == 0 && opt_.test_sever_host0_after_records >= 0 && !severed_ &&
         w.records_seen >= static_cast<std::uint32_t>(opt_.test_sever_host0_after_records)) {
-      severed_ = true;  // test hook: cut the link; reconnect must heal it
+      severed_ = true;  // test hook: cut the link; reopening must heal it
       disconnect(w, now);
     }
   }
 
   void close_all() {
-    for (RemoteWorker& w : workers_) {
-      if (w.fd >= 0) ::close(w.fd);
-      w.fd = -1;
+    for (Worker& w : workers_) {
+      close_link(w);
       w.alive = false;
     }
   }
 
-  TcpFleetOptions opt_;
-  std::vector<RemoteWorker> workers_;
+  const SweepOptions opt_;
+  obs::SweepTelemetry* telemetry_ = nullptr;
+  std::vector<Worker> workers_;
   std::deque<std::size_t> queue_;
   std::vector<JobState> job_state_;
   std::vector<std::uint32_t> job_attempts_;
-  std::size_t n_points_ = 0;
   std::uint32_t seeds_ = 1;
   std::uint64_t seed_base_ = 0;
   std::size_t records_delivered_ = 0;
   bool severed_ = false;
 };
 
-// --- Worker (serve) side -----------------------------------------------------
-
-void serve_session(int fd) {
-  WorkerState st;
-  std::mutex send_mu;
-  const SendPayload send = [fd, &send_mu](std::string_view payload) {
-    std::lock_guard lock(send_mu);
-    return send_frame(fd, payload);
-  };
-
-  std::thread heartbeat;
-  std::mutex hb_mu;
-  std::condition_variable hb_cv;
-  bool hb_stop = false;
-  auto stop_heartbeat = [&] {
-    {
-      std::lock_guard lock(hb_mu);
-      hb_stop = true;
-    }
-    hb_cv.notify_all();
-    if (heartbeat.joinable()) heartbeat.join();
-  };
-
-  try {
-    std::string buf;
-    std::string payload;
-    for (;;) {
-      while (take_frame(buf, payload)) {
-        if (payload.empty()) throw CodecError("worker: empty frame");
-        wire::Reader in{payload, 1};
-        switch (static_cast<FrameKind>(payload[0])) {
-          case FrameKind::kHandshake:
-            worker_handshake(st, in);
-            if (st.heartbeat_ms > 0 && !heartbeat.joinable()) {
-              // The beacon runs on its own thread so a worker deep in a long
-              // job still proves it is alive — the dispatcher's deadline,
-              // not its heartbeat timeout, is what judges slow jobs.
-              const std::uint32_t interval = st.heartbeat_ms;
-              // &st is safe: st outlives the thread (stop_heartbeat joins
-              // before serve_session returns), and the stats fields it reads
-              // are atomics.
-              heartbeat = std::thread([&st, &send, &hb_mu, &hb_cv, &hb_stop, interval] {
-                std::unique_lock lock(hb_mu);
-                for (;;) {
-                  if (hb_cv.wait_for(lock, std::chrono::milliseconds(interval),
-                                     [&] { return hb_stop; }))
-                    return;
-                  lock.unlock();
-                  const bool ok = send(heartbeat_payload(st.stats_frame()));
-                  lock.lock();
-                  if (!ok) return;
-                }
-              });
-            }
-            break;
-          case FrameKind::kJob:
-            if (!worker_job(st, in, send)) {
-              stop_heartbeat();
-              return;  // dispatcher went away mid-send
-            }
-            break;
-          default:
-            throw CodecError("worker: unexpected frame kind");
-        }
-      }
-      if (io::recv_some(fd, buf) != io::ReadResult::kData) break;  // EOF/reset
-    }
-  } catch (const std::exception& e) {
-    send(error_payload(e.what()));
-  } catch (...) {
-    send(error_payload("unknown worker error"));
-  }
-  stop_heartbeat();
-}
-
 }  // namespace
 
-int make_listen_socket(std::uint16_t port, std::uint16_t& bound_port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0)
-    throw std::runtime_error(std::string("serve: socket: ") + std::strerror(errno));
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    throw std::runtime_error(std::string("serve: bind: ") + std::strerror(saved));
-  }
-  if (::listen(fd, 16) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    throw std::runtime_error(std::string("serve: listen: ") + std::strerror(saved));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    throw std::runtime_error(std::string("serve: getsockname: ") +
-                             std::strerror(saved));
-  }
-  bound_port = ntohs(bound.sin_port);
-  return fd;
-}
-
-int serve_loop(int listen_fd) {
-  for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return 1;
-    }
-    set_nodelay(fd);
-    // One dispatcher at a time, each connection a fresh session: a crashed
-    // dispatcher's --resume successor reconnects and starts clean.
-    serve_session(fd);
-    ::close(fd);
-  }
-}
-
-int serve_main(std::uint16_t port) {
-  std::uint16_t bound = 0;
-  int listen_fd;
-  try {
-    listen_fd = make_listen_socket(port, bound);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ngsim: %s\n", e.what());
-    return 1;
-  }
-  std::printf("ngsim: serving on port %u\n", bound);
-  std::fflush(stdout);
-  return serve_loop(listen_fd);
-}
-
-std::unique_ptr<Executor> make_tcp_fleet_executor(TcpFleetOptions options) {
-  return std::make_unique<TcpFleetExecutor>(std::move(options));
+std::unique_ptr<Executor> make_dispatcher(const SweepOptions& options) {
+  return std::make_unique<Dispatcher>(options);
 }
 
 }  // namespace bng::runner

@@ -1,19 +1,23 @@
-// Executor: the pluggable dispatch substrate under the sweep engine.
+// Executor: the dispatch substrate under the sweep engine.
 //
 // run_sweep expands a scenario into (point × seed) jobs and hands them to an
 // Executor; the executor runs every job and streams back one RunRecord per
-// job. Two implementations ship today:
+// job. There are two:
 //
-//  * ThreadPoolExecutor — the original in-process worker threads;
-//  * ProcessPoolExecutor — fork/exec'd `ngsim --worker` children speaking
-//    the length-prefixed record protocol of runner/record_codec.hpp over a
-//    socketpair, with crash detection and job re-dispatch.
+//  * the thread pool (`--jobs`) — in-process worker threads;
+//  * the dispatcher (`--procs`, `--hosts`) — worker processes speaking the
+//    protocol of runner/worker_protocol.hpp, one link each. A link is a
+//    socketpair to a child the dispatcher spawns (`--procs`: fork, then exec
+//    `ngsim --worker` or run the session in the forked child) or a TCP
+//    connection to an `ngsim --serve` worker (`--hosts`). Only opening and
+//    closing a link know which; liveness and re-dispatch treat both alike
+//    (see make_dispatcher).
 //
 // Both are pure functions of (scenario, points): records are delivered in
 // arbitrary order but carry their own (point, ordinal) identity, and the
 // caller merges them into deterministic slots — so any executor at any
-// width yields bit-identical sweep output. A multi-machine dispatcher is
-// "ProcessPoolExecutor over a socket" and slots in the same way.
+// width, through any worker failure it survives, yields bit-identical
+// sweep output.
 #pragma once
 
 #include <atomic>
@@ -35,7 +39,7 @@ class TraceRing;
 namespace bng::runner {
 
 /// What an executor needs to run a sweep. `points` must be expand(scenario)
-/// — process-pool workers re-expand from scenario.source and the two grids
+/// — dispatcher workers re-expand from scenario.source and the two grids
 /// must agree.
 struct ExecutionPlan {
   const Scenario& scenario;
@@ -49,8 +53,7 @@ struct ExecutionPlan {
   /// Decision-trace categories (obs/trace_ring.hpp bit mask). 0 (default):
   /// tracing fully disabled — no ring is allocated and run_job receives
   /// null. Non-zero is only supported by the in-process thread executor;
-  /// process-pool and fleet executors reject it (the rings would live in
-  /// other processes).
+  /// the dispatcher rejects it (the rings would live in other processes).
   std::uint32_t trace_mask = 0;
   /// Called once per traced job, after its record is delivered, with the
   /// job's ring (drained after the call returns). May run on worker threads
@@ -60,8 +63,7 @@ struct ExecutionPlan {
       trace_sink;
   /// Optional sweep telemetry. The in-process thread executor feeds it each
   /// job's executed-event count (for the events/sec rate in --progress and
-  /// --stats-json); process/fleet executors ignore it — their experiments
-  /// run in other address spaces.
+  /// --stats-json); the dispatcher keeps its per-worker table.
   obs::SweepTelemetry* telemetry = nullptr;
 };
 
@@ -102,20 +104,36 @@ class Executor {
 /// In-process pool of `jobs` worker threads (0 = hardware concurrency).
 std::unique_ptr<Executor> make_thread_executor(std::uint32_t jobs);
 
-struct ProcessPoolOptions {
-  /// Worker process count (>= 1; clamped to the job count).
-  std::uint32_t procs = 1;
-  /// argv prefix to exec for each worker, e.g. {"/path/to/ngsim",
-  /// "--worker"}. Empty: fork without exec and run worker_main in the child
-  /// directly (used by tests; inherits the parent's scenario registry).
-  std::vector<std::string> worker_argv;
-  /// Test hook: deliver a kill order to the first worker's handshake — it
-  /// SIGKILLs itself when handed its (n+1)-th job, exercising crash
-  /// detection and re-dispatch. Negative: disabled.
-  int kill_worker0_after_jobs = -1;
-};
+struct SweepOptions;
+struct FleetTuning;
 
-std::unique_ptr<Executor> make_process_pool_executor(ProcessPoolOptions options);
+/// The dispatcher over `options.hosts` (TCP links) or, when that is empty,
+/// min(max(options.procs, 1), pending jobs) local worker processes (exec'ing
+/// `options.worker_argv`, or forked without exec when it is empty). Per
+/// link, with `options.fleet` tuning:
+///
+///   * workers heartbeat; one silent past heartbeat_timeout_ms is dead
+///     (crashed, SIGSTOPped, machine gone) and its job is re-dispatched;
+///   * a job in flight past job_deadline_ms marks its worker hung, not dead;
+///     the link is closed and the job re-dispatched;
+///   * once the queue is dry, a job in flight past straggler_after_ms is
+///     duplicated onto an idle worker; the losing copy's record is dropped;
+///   * a closed link is reopened (a TCP reconnect, a local respawn) with
+///     exponential backoff, at most max_reconnects times in a row;
+///   * a job that loses max_job_attempts workers fails the sweep naming its
+///     point, ordinal and seed, and a sweep with no worker left and no
+///     reopen pending fails instead of waiting.
+///
+/// Any surviving worker completes the sweep. Throws std::invalid_argument
+/// if the tuning fails check_fleet_tuning. The telemetry of the plan it
+/// runs, if any, gets one worker row per link.
+std::unique_ptr<Executor> make_dispatcher(const SweepOptions& options);
+
+/// Throw std::invalid_argument, naming both keys, unless
+/// 1 <= heartbeat_ms < heartbeat_timeout_ms. Otherwise a healthy worker
+/// goes silent for longer than the timeout (heartbeat_ms 0 means it never
+/// beats) and any job that outlasts the timeout kills its worker.
+void check_fleet_tuning(const FleetTuning& tuning);
 
 /// Run one job. The shared pool may be null (the experiment then builds its
 /// own workload). Pure function of its arguments — every executor and the
@@ -127,14 +145,5 @@ RunRecord run_job(const Scenario& scenario, const SweepPoint& point,
                   std::shared_ptr<const sim::PrebuiltWorkload> pool,
                   obs::TraceRing* trace = nullptr,
                   std::uint64_t* events_executed = nullptr);
-
-/// Entry point of the `ngsim --worker` mode: speak the worker protocol over
-/// the given fds (stdin/stdout when exec'd) until EOF. Returns the process
-/// exit code. Never throws; fatal errors are reported as 'E' frames.
-int worker_main(int in_fd, int out_fd);
-
-// A third executor — the TCP fleet dispatcher behind `ngsim --hosts` — lives
-// in runner/tcp_fleet.hpp; it implements this same interface over remote
-// `ngsim --serve` workers with heartbeat liveness and per-job deadlines.
 
 }  // namespace bng::runner

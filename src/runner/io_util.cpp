@@ -1,5 +1,7 @@
 #include "runner/io_util.hpp"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -57,6 +59,11 @@ ReadResult read_some(int fd, std::string& buf, std::size_t chunk) {
 
 ReadResult recv_some(int fd, std::string& buf, std::size_t chunk) {
   return read_loop(buf, chunk, [fd](char* p, std::size_t n) { return ::recv(fd, p, n, 0); });
+}
+
+void set_nodelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 }  // namespace bng::runner::io

@@ -1,6 +1,6 @@
 // EINTR-safe low-level I/O, shared by everything in the runner that touches
-// a file descriptor: the process pool's socketpairs (process_pool.cpp), the
-// TCP fleet's sockets (tcp_fleet.cpp), and the crash-safe journal
+// a file descriptor: the dispatcher's worker links (dispatcher.cpp), the
+// worker session (worker_protocol.cpp), and the crash-safe journal
 // (journal.cpp). Every loop here retries EINTR and resumes short writes, so
 // callers never see a partial transfer — the ad-hoc per-site loops these
 // helpers replaced each handled a different subset of those cases.
@@ -32,5 +32,9 @@ ReadResult read_some(int fd, std::string& buf, std::size_t chunk = 16384);
 
 /// recv() flavor of read_some for sockets.
 ReadResult recv_some(int fd, std::string& buf, std::size_t chunk = 16384);
+
+/// TCP_NODELAY on a connected TCP socket: frames are small and each one is
+/// waited on, so Nagle batching would only add latency.
+void set_nodelay(int fd);
 
 }  // namespace bng::runner::io

@@ -3,10 +3,9 @@
 // Everything downstream of a job — aggregation, emitters, the CLI artifacts
 // — consumes these records, and nothing else. A record is a pure function of
 // (scenario, point index, seed ordinal), carries its own identity, and has a
-// byte-stable serialized form (runner/record_codec.hpp), so the dispatch
-// substrate is pluggable: the in-process thread pool and the ngsim --worker
-// process pool produce bit-identical streams, and a future socket-based
-// multi-machine dispatcher is an incremental change on top.
+// byte-stable serialized form (runner/record_codec.hpp), so every executor
+// (runner/executor.hpp) — threads, or worker processes local or remote —
+// produces bit-identical streams.
 #pragma once
 
 #include <cstdint>

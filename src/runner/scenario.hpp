@@ -104,7 +104,7 @@ struct Scenario {
   /// default (--dense forces the full grid).
   std::optional<RefineSpec> refine;
   /// Set by make_scenario / the scenario-file loaders; required for
-  /// process-pool execution (workers rebuild the scenario from it).
+  /// --procs/--hosts execution (workers rebuild the scenario from it).
   std::optional<ScenarioSource> source;
 };
 

@@ -14,7 +14,6 @@
 #include "runner/cache.hpp"
 #include "runner/executor.hpp"
 #include "runner/journal.hpp"
-#include "runner/tcp_fleet.hpp"
 
 namespace bng::runner {
 
@@ -60,27 +59,8 @@ class ProgressReporter {
 
 }  // namespace
 
-std::unique_ptr<Executor> make_sweep_executor(const SweepOptions& options,
-                                              obs::SweepTelemetry* telemetry) {
-  if (!options.hosts.empty()) {
-    if (telemetry != nullptr) telemetry->init_workers(options.hosts);
-    TcpFleetOptions fopt;
-    fopt.hosts = options.hosts;
-    fopt.tuning = options.fleet;
-    fopt.telemetry = telemetry;
-    fopt.test_kill_host0_after_jobs = options.test_kill_worker0_after_jobs;
-    fopt.test_hang_host0_after_jobs = options.test_hang_host0_after_jobs;
-    fopt.test_sever_host0_after_records = options.test_sever_host0_after_records;
-    fopt.test_interrupt_after_records = options.test_interrupt_after_records;
-    return make_tcp_fleet_executor(std::move(fopt));
-  }
-  if (options.procs > 0) {
-    ProcessPoolOptions popt;
-    popt.procs = options.procs;
-    popt.worker_argv = options.worker_argv;
-    popt.kill_worker0_after_jobs = options.test_kill_worker0_after_jobs;
-    return make_process_pool_executor(std::move(popt));
-  }
+std::unique_ptr<Executor> make_sweep_executor(const SweepOptions& options) {
+  if (!options.hosts.empty() || options.procs > 0) return make_dispatcher(options);
   return make_thread_executor(options.jobs);
 }
 
@@ -202,7 +182,7 @@ SweepResult run_sweep(const Scenario& scenario, const SweepOptions& options) {
 
   const std::size_t holes = n_jobs - prefilled;
   if (holes > 0) {
-    std::unique_ptr<Executor> executor = make_sweep_executor(options, tel);
+    std::unique_ptr<Executor> executor = make_sweep_executor(options);
     try {
       std::unique_ptr<ProgressReporter> reporter;
       if (options.progress && tel != nullptr)
@@ -223,10 +203,9 @@ SweepResult run_sweep(const Scenario& scenario, const SweepOptions& options) {
     tel->journal_stats(js.fsyncs, js.fsync_total_ms, js.fsync_max_ms);
   }
   if (cache && tel != nullptr) {
-    // The dispatcher's own counters plus every fleet worker's self-reported
-    // ones (piggybacked on heartbeats). Process-pool workers cache in their
-    // own address spaces and report nothing here; their effect still shows
-    // as wall-clock and on the shared directory.
+    // This process's own counters plus every dispatcher worker's
+    // self-reported ones (piggybacked on heartbeats, so they are as fresh as
+    // each worker's last beat).
     RunCache::Counters c = cache->counters();
     for (const obs::WorkerTelemetry& w : tel->workers()) {
       c.hits += w.reported.cache_hits;

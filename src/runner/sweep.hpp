@@ -1,6 +1,5 @@
 // Sweep engine: expands a scenario into (point × seed) jobs, hands them to
-// a pluggable Executor (runner/executor.hpp — in-process threads or the
-// ngsim --worker process pool), and folds the streamed RunRecords into
+// an Executor (runner/executor.hpp), and folds the streamed RunRecords into
 // per-point aggregates.
 //
 // Determinism: each job's RNG seed is a pure function of its identity
@@ -20,7 +19,6 @@
 #include "runner/aggregate.hpp"
 #include "runner/record.hpp"
 #include "runner/scenario.hpp"
-#include "runner/tcp_fleet.hpp"
 
 namespace bng::obs {
 class SweepTelemetry;
@@ -28,20 +26,45 @@ class SweepTelemetry;
 
 namespace bng::runner {
 
+/// Liveness and re-dispatch knobs of the dispatcher (make_dispatcher in
+/// runner/executor.hpp), for `--procs` and `--hosts` workers alike.
+struct FleetTuning {
+  /// TCP connect timeout per `--hosts` endpoint (local links ignore it).
+  std::uint32_t connect_timeout_ms = 5000;
+  /// Interval workers are told to heartbeat at (handshake field).
+  std::uint32_t heartbeat_ms = 1000;
+  /// A worker silent (no frames, no heartbeats) this long is dead.
+  std::uint32_t heartbeat_timeout_ms = 10000;
+  /// A single job in flight this long marks its worker hung; 0 = no deadline.
+  std::uint32_t job_deadline_ms = 0;
+  /// Speculatively duplicate a job in flight this long onto an idle worker
+  /// once the queue is empty; 0 = no speculation.
+  std::uint32_t straggler_after_ms = 0;
+  /// Backoff before reopening a closed link (reconnect or respawn):
+  /// base << attempt, capped.
+  std::uint32_t reconnect_base_ms = 200;
+  std::uint32_t reconnect_cap_ms = 5000;
+  /// Reopen attempts in a row (reset by a record) before a worker is
+  /// abandoned for good.
+  std::uint32_t max_reconnects = 5;
+  /// Dispatch attempts per job before the sweep fails.
+  std::uint32_t max_job_attempts = 3;
+};
+
 struct SweepOptions {
   std::uint32_t seeds = 1;
   /// Worker threads when procs == 0; 0 = hardware concurrency. Results are
   /// identical for any value.
   std::uint32_t jobs = 1;
-  /// Worker *processes*; 0 = run in-process on `jobs` threads. Requires a
-  /// shippable scenario (registered name or scenario file). Results are
-  /// bit-identical to any in-process run.
+  /// Worker *processes* under the dispatcher; 0 = run in-process on `jobs`
+  /// threads. Requires a shippable scenario (registered name or scenario
+  /// file). Results are bit-identical to any in-process run.
   std::uint32_t procs = 0;
   /// Remote `ngsim --serve` workers as "host:port" endpoints. Non-empty
-  /// selects the TCP fleet executor (runner/tcp_fleet.hpp) and overrides
-  /// jobs/procs. Same bit-identical guarantee as every other executor.
+  /// gives the dispatcher TCP links instead of local processes and
+  /// overrides jobs/procs. Same bit-identical guarantee as every executor.
   std::vector<std::string> hosts;
-  /// Liveness / re-dispatch knobs for the TCP fleet.
+  /// Liveness / re-dispatch knobs for `procs` and `hosts` workers.
   FleetTuning fleet;
   /// One immutable pre-generated tx pool per sweep point, shared by all of
   /// its seeds (instead of a per-seed copy).
@@ -66,7 +89,8 @@ struct SweepOptions {
   bool resume = false;
 
   /// Runtime telemetry (obs/telemetry.hpp). When set, run_sweep feeds it job
-  /// counts, journal fsync stats, and (with `hosts`) per-worker fleet state.
+  /// counts, journal fsync stats, and (with `procs` or `hosts`) per-worker
+  /// dispatcher state.
   /// Non-owning; null disables all accounting.
   obs::SweepTelemetry* telemetry = nullptr;
   /// Render a one-line progress report to stderr every ~500 ms (plus one
@@ -83,12 +107,16 @@ struct SweepOptions {
   /// line carries its (point, ordinal) identity.
   std::string trace_path;
 
-  /// Test hook (see ProcessPoolOptions::kill_worker0_after_jobs); with
-  /// `hosts` it becomes the fleet's kill-host0 hook.
+  /// Dispatcher test hooks; negative = off. Worker 0 (hosts[0], or the
+  /// first local process) is told in every handshake to SIGKILL itself, or
+  /// to compute forever while heartbeating, when handed its (n+1)-th job.
   int test_kill_worker0_after_jobs = -1;
-  /// Fleet test hooks (see TcpFleetOptions).
   int test_hang_host0_after_jobs = -1;
+  /// The dispatcher closes worker 0's link after this many of its records,
+  /// exercising reopen + re-dispatch.
   int test_sever_host0_after_records = -1;
+  /// Throw SweepInterrupted after this many records in total: a
+  /// deterministic stand-in for SIGTERM mid-sweep.
   int test_interrupt_after_records = -1;
 };
 
@@ -117,11 +145,9 @@ SweepResult run_sweep(const Scenario& scenario, const SweepOptions& options);
 // Forward declaration (runner/executor.hpp).
 class Executor;
 
-/// Build the executor `options` selects — TCP fleet for `hosts`, process
-/// pool for `procs`, else the in-process thread pool. Shared by run_sweep
-/// and the adaptive driver (runner/adaptive.hpp) so both dispatch through
-/// identical substrates. Wires fleet telemetry/test hooks when applicable.
-std::unique_ptr<Executor> make_sweep_executor(const SweepOptions& options,
-                                              obs::SweepTelemetry* telemetry);
+/// Build the executor `options` selects — the dispatcher for `hosts` or
+/// `procs`, else the in-process thread pool. Shared by run_sweep and the
+/// adaptive driver (runner/adaptive.hpp) so both dispatch identically.
+std::unique_ptr<Executor> make_sweep_executor(const SweepOptions& options);
 
 }  // namespace bng::runner

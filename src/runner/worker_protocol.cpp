@@ -1,13 +1,26 @@
 #include "runner/worker_protocol.hpp"
 
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "runner/cache.hpp"
 #include "runner/executor.hpp"
+#include "runner/io_util.hpp"
 #include "sim/experiment.hpp"
 
 namespace bng::runner {
@@ -81,6 +94,40 @@ std::optional<obs::WorkerStatsFrame> parse_heartbeat_stats(wire::Reader& in) {
   return f;
 }
 
+namespace {
+
+/// How a worker sends one framed payload back to its dispatcher. Returns
+/// false when the dispatcher is gone (the worker should wind down). Takes a
+/// mutex so job records and heartbeat-thread beacons never interleave
+/// mid-frame.
+using SendPayload = std::function<bool(std::string_view payload)>;
+
+/// Worker-side session state: the rebuilt scenario, its re-expanded grid,
+/// and the one cached per-point workload pool.
+struct WorkerState {
+  std::optional<Scenario> scenario;
+  std::vector<SweepPoint> points;
+  bool share_workload = true;
+  WorkerHooks hooks;
+  std::uint32_t heartbeat_ms = 0;
+  // Self-reported stats, piggybacked on heartbeats. Atomics because the
+  // heartbeat thread snapshots them while the session thread runs jobs.
+  std::atomic<std::uint32_t> jobs_done{0};
+  std::atomic<std::uint32_t> pool_rebuilds{0};
+  std::atomic<std::uint64_t> busy_ms{0};
+
+  /// Snapshot for a heartbeat; merges in the active record cache's counters
+  /// (runner/cache.hpp) when one is set.
+  [[nodiscard]] obs::WorkerStatsFrame stats_frame() const;
+  // One pool is cached at a time, keyed by the workload digest rather than
+  // the point index: points whose deltas don't touch the workload inputs
+  // (e.g. an alpha x gamma attack grid) share the pool, so pool_rebuilds
+  // collapses to ~#distinct workloads. The pool is a seed-independent pure
+  // function of those inputs, so rebuilt pools stay bit-identical anyway.
+  std::uint64_t pool_digest = 0;
+  std::shared_ptr<const sim::PrebuiltWorkload> pool;
+};
+
 obs::WorkerStatsFrame WorkerState::stats_frame() const {
   obs::WorkerStatsFrame f;
   f.jobs_done = jobs_done.load(std::memory_order_relaxed);
@@ -96,6 +143,8 @@ obs::WorkerStatsFrame WorkerState::stats_frame() const {
   return f;
 }
 
+/// Parse an 'H' frame (cursor positioned after the kind byte) and rebuild
+/// the scenario + grid. Throws on version skew or an unknown scenario.
 void worker_handshake(WorkerState& st, wire::Reader& in) {
   const std::uint16_t version = in.u16();
   if (version != kRecordCodecVersion)
@@ -122,6 +171,8 @@ void worker_handshake(WorkerState& st, wire::Reader& in) {
   st.points = expand(*st.scenario);
 }
 
+/// Run one 'J' frame's job and send the 'R' record (or trip a fault hook).
+/// Returns false when the dispatcher is unreachable.
 bool worker_job(WorkerState& st, wire::Reader& in, const SendPayload& send) {
   if (!st.scenario) throw std::runtime_error("worker: job before handshake");
   const std::uint32_t point = in.u32();
@@ -161,6 +212,146 @@ bool worker_job(WorkerState& st, wire::Reader& in, const SendPayload& send) {
   payload.push_back(static_cast<char>(FrameKind::kRecord));
   payload += encode_record(rec);
   return send(payload);
+}
+
+}  // namespace
+
+int worker_session(int fd) {
+  WorkerState st;
+  std::mutex send_mu;
+  const SendPayload send = [fd, &send_mu](std::string_view payload) {
+    std::lock_guard lock(send_mu);
+    return io::send_all(fd, frame(payload));
+  };
+
+  std::thread heartbeat;
+  std::mutex hb_mu;
+  std::condition_variable hb_cv;
+  bool hb_stop = false;
+  auto stop_heartbeat = [&] {
+    {
+      std::lock_guard lock(hb_mu);
+      hb_stop = true;
+    }
+    hb_cv.notify_all();
+    if (heartbeat.joinable()) heartbeat.join();
+  };
+
+  int rc = 0;
+  try {
+    std::string buf;
+    std::string payload;
+    for (;;) {
+      while (take_frame(buf, payload)) {
+        if (payload.empty()) throw CodecError("worker: empty frame");
+        wire::Reader in{payload, 1};
+        switch (static_cast<FrameKind>(payload[0])) {
+          case FrameKind::kHandshake:
+            worker_handshake(st, in);
+            if (st.heartbeat_ms > 0 && !heartbeat.joinable()) {
+              // The beacon runs on its own thread so a worker deep in a long
+              // job still proves it is alive — the dispatcher's deadline,
+              // not its heartbeat timeout, is what judges slow jobs.
+              const std::uint32_t interval = st.heartbeat_ms;
+              // &st is safe: st outlives the thread (stop_heartbeat joins
+              // before worker_session returns), and the stats fields it
+              // reads are atomics.
+              heartbeat = std::thread([&st, &send, &hb_mu, &hb_cv, &hb_stop, interval] {
+                std::unique_lock lock(hb_mu);
+                for (;;) {
+                  if (hb_cv.wait_for(lock, std::chrono::milliseconds(interval),
+                                     [&] { return hb_stop; }))
+                    return;
+                  lock.unlock();
+                  const bool ok = send(heartbeat_payload(st.stats_frame()));
+                  lock.lock();
+                  if (!ok) return;
+                }
+              });
+            }
+            break;
+          case FrameKind::kJob:
+            if (!worker_job(st, in, send)) {
+              stop_heartbeat();
+              return 1;  // dispatcher went away mid-send
+            }
+            break;
+          default:
+            throw CodecError("worker: unexpected frame kind");
+        }
+      }
+      if (io::read_some(fd, buf) != io::ReadResult::kData) break;  // EOF/reset
+    }
+  } catch (const std::exception& e) {
+    send(error_payload(e.what()));
+    rc = 1;
+  } catch (...) {
+    send(error_payload("unknown worker error"));
+    rc = 1;
+  }
+  stop_heartbeat();
+  return rc;
+}
+
+int make_listen_socket(std::uint16_t port, std::uint16_t& bound_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0)
+    throw std::runtime_error(std::string("serve: socket: ") + std::strerror(errno));
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_ANY);
+  addr.sin_port = htons(port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    const int saved = errno;
+    ::close(fd);
+    throw std::runtime_error(std::string("serve: bind: ") + std::strerror(saved));
+  }
+  if (::listen(fd, 16) != 0) {
+    const int saved = errno;
+    ::close(fd);
+    throw std::runtime_error(std::string("serve: listen: ") + std::strerror(saved));
+  }
+  sockaddr_in bound{};
+  socklen_t len = sizeof bound;
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
+    const int saved = errno;
+    ::close(fd);
+    throw std::runtime_error(std::string("serve: getsockname: ") +
+                             std::strerror(saved));
+  }
+  bound_port = ntohs(bound.sin_port);
+  return fd;
+}
+
+int serve_loop(int listen_fd) {
+  for (;;) {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      return 1;
+    }
+    io::set_nodelay(fd);
+    // One dispatcher at a time, each connection a fresh session: a crashed
+    // dispatcher's --resume successor reconnects and starts clean.
+    worker_session(fd);
+    ::close(fd);
+  }
+}
+
+int serve_main(std::uint16_t port) {
+  std::uint16_t bound = 0;
+  int listen_fd;
+  try {
+    listen_fd = make_listen_socket(port, bound);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ngsim: %s\n", e.what());
+    return 1;
+  }
+  std::printf("ngsim: serving on port %u\n", bound);
+  std::fflush(stdout);
+  return serve_loop(listen_fd);
 }
 
 }  // namespace bng::runner

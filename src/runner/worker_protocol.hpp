@@ -1,8 +1,8 @@
-// The worker wire protocol, shared by both dispatch substrates: the
-// fork/exec'd process pool (process_pool.cpp, socketpairs) and the TCP fleet
-// (tcp_fleet.cpp, `ngsim --serve` workers). One protocol, two transports —
-// that is what makes an N-machine sweep bit-identical to `--procs N` and to
-// `--jobs 1`.
+// The worker wire protocol and the worker side of it. The dispatcher
+// (runner/executor.hpp) speaks it over every link, socketpair or TCP, and
+// one session function serves it for `ngsim --worker` and `ngsim --serve`
+// alike — that is what makes an N-machine sweep bit-identical to
+// `--procs N` and to `--jobs 1`.
 //
 // Frames (runner/record_codec.hpp length-prefixed framing):
 //
@@ -31,30 +31,22 @@
 // thread pool — so a record computed anywhere is bit-identical.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/telemetry.hpp"
 #include "runner/record_codec.hpp"
 #include "runner/scenario.hpp"
-
-namespace bng::sim {
-struct PrebuiltWorkload;
-}
 
 namespace bng::runner {
 
 /// "Off" value for the handshake's kill-after / hang-after test hooks.
 inline constexpr std::uint32_t kHookDisabled = 0xffffffffu;
 
-/// Fault-injection hooks shipped in the handshake, driven by tests and the
-/// fleet's CI smoke: `kill_after` makes the worker SIGKILL itself when handed
+/// Fault-injection hooks shipped in the handshake, driven by tests:
+/// `kill_after` makes the worker SIGKILL itself when handed
 /// its (n+1)-th job (a crash mid-job); `hang_after` makes it compute forever
 /// on that job while its heartbeat thread keeps beating (a hung-not-dead
 /// worker, exercising the dispatcher's per-job deadline).
@@ -77,45 +69,24 @@ struct WorkerHooks {
 [[nodiscard]] std::optional<obs::WorkerStatsFrame> parse_heartbeat_stats(
     wire::Reader& in);
 
-/// How a worker sends one framed payload back to its dispatcher. Returns
-/// false when the dispatcher is gone (the worker should wind down). The TCP
-/// worker's implementation takes a mutex so job records and heartbeat-thread
-/// beacons never interleave mid-frame.
-using SendPayload = std::function<bool(std::string_view payload)>;
+/// One worker session over a connected socket `fd`: answer the handshake,
+/// run each job and send its record until EOF, with a heartbeat thread at
+/// the interval the handshake asks for. Errors go back as an 'E' frame.
+/// Returns 0 at EOF, 1 on an error or a dispatcher that went away. Never
+/// throws. `ngsim --worker` runs it on stdin; serve_loop per connection.
+int worker_session(int fd);
 
-/// Worker-side session state: the rebuilt scenario, its re-expanded grid,
-/// and the one cached per-point workload pool.
-struct WorkerState {
-  std::optional<Scenario> scenario;
-  std::vector<SweepPoint> points;
-  bool share_workload = true;
-  WorkerHooks hooks;
-  std::uint32_t heartbeat_ms = 0;
-  // Self-reported stats, piggybacked on heartbeats. Atomics because the TCP
-  // worker's heartbeat thread snapshots them while the session thread runs
-  // jobs; the process-pool worker is single-threaded and pays nothing.
-  std::atomic<std::uint32_t> jobs_done{0};
-  std::atomic<std::uint32_t> pool_rebuilds{0};
-  std::atomic<std::uint64_t> busy_ms{0};
+/// Create a listening TCP socket on 0.0.0.0:`port` (0 = kernel-assigned).
+/// Returns the fd and stores the bound port; throws std::runtime_error.
+int make_listen_socket(std::uint16_t port, std::uint16_t& bound_port);
 
-  /// Snapshot for a heartbeat; merges in the active record cache's counters
-  /// (runner/cache.hpp) when one is set.
-  [[nodiscard]] obs::WorkerStatsFrame stats_frame() const;
-  // One pool is cached at a time, keyed by the workload digest rather than
-  // the point index: points whose deltas don't touch the workload inputs
-  // (e.g. an alpha x gamma attack grid) share the pool, so pool_rebuilds
-  // collapses to ~#distinct workloads. The pool is a seed-independent pure
-  // function of those inputs, so rebuilt pools stay bit-identical anyway.
-  std::uint64_t pool_digest = 0;
-  std::shared_ptr<const sim::PrebuiltWorkload> pool;
-};
+/// Worker accept loop: serve one dispatcher connection at a time, each a
+/// fresh session, until the process is killed. Surviving a dispatcher crash
+/// is the point — the next dispatcher (e.g. `--resume`) reconnects and gets
+/// a clean session.
+int serve_loop(int listen_fd);
 
-/// Parse an 'H' frame (cursor positioned after the kind byte) and rebuild
-/// the scenario + grid. Throws on version skew or an unknown scenario.
-void worker_handshake(WorkerState& st, wire::Reader& in);
-
-/// Run one 'J' frame's job and send the 'R' record (or trip a fault hook).
-/// Returns false when the dispatcher is unreachable.
-bool worker_job(WorkerState& st, wire::Reader& in, const SendPayload& send);
+/// `ngsim --serve <port>`: bind, announce the port on stdout, serve_loop.
+int serve_main(std::uint16_t port);
 
 }  // namespace bng::runner

@@ -26,7 +26,7 @@
 #include "runner/journal.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
-#include "runner/tcp_fleet.hpp"
+#include "runner/worker_protocol.hpp"
 
 namespace bng::runner {
 namespace {

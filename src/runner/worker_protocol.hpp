@@ -48,7 +48,7 @@ inline constexpr std::uint32_t kHookDisabled = 0xffffffffu;
 /// Fault-injection hooks shipped in the handshake, driven by tests:
 /// `kill_after` makes the worker SIGKILL itself when handed
 /// its (n+1)-th job (a crash mid-job); `hang_after` makes it compute forever
-/// on that job while its heartbeat thread keeps beating (a hung-not-dead
+/// on that job while its heartbeat keeps beating (a hung-not-dead
 /// worker, exercising the dispatcher's per-job deadline).
 struct WorkerHooks {
   std::uint32_t kill_after = kHookDisabled;
@@ -70,10 +70,12 @@ struct WorkerHooks {
     wire::Reader& in);
 
 /// One worker session over a connected socket `fd`: answer the handshake,
-/// run each job and send its record until EOF, with a heartbeat thread at
-/// the interval the handshake asks for. Errors go back as an 'E' frame.
-/// Returns 0 at EOF, 1 on an error or a dispatcher that went away. Never
-/// throws. `ngsim --worker` runs it on stdin; serve_loop per connection.
+/// run each job and send its record until EOF, heartbeating at the interval
+/// the handshake asks for (from a SIGALRM interval timer, so the session
+/// owns the process's SIGALRM and ITIMER_REAL while it runs). Errors go back
+/// as an 'E' frame. Returns 0 at EOF, 1 on an error or a dispatcher that
+/// went away. Never throws. `ngsim --worker` runs it on stdin; serve_loop
+/// per connection.
 int worker_session(int fd);
 
 /// Create a listening TCP socket on 0.0.0.0:`port` (0 = kernel-assigned).

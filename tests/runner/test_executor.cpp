@@ -233,8 +233,8 @@ TEST(ProcessPool, StoppedWorkerIsDetectedByHeartbeatSilence) {
 }
 
 TEST(ProcessPool, HungWorkerIsCaughtByTheJobDeadline) {
-  // Worker 0 computes forever on its first job while its heartbeat thread
-  // keeps beating: only the per-job deadline can tell it from a slow job.
+  // Worker 0 computes forever on its first job while its heartbeat keeps
+  // beating: only the per-job deadline can tell it from a slow job.
   // The job reruns on the survivor, which delivers every record.
   const Scenario s = registered_mini();
   const std::string serial = artifacts(run_sweep(s, thread_options(3, 1)));
